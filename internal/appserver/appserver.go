@@ -14,13 +14,20 @@
 //
 // The processor-sharing engine is event-exact: on every arrival and
 // departure the remaining work of in-service requests is settled against
-// elapsed virtual time, and the next completion is rescheduled. Cost is
-// O(workers) per event with workers ≤ 32, which is negligible.
+// elapsed virtual time, and the next completion is re-planned. The
+// in-service set is a slice in admission order, settled and scanned in
+// O(workers) per event with workers ≤ 32; the backlog is a ring buffer;
+// finished requests are collected in a reused scratch slice and
+// completed in admission-id order; request structs come from a free
+// list; and the next completion is one Timer the server owns, bound to
+// its completion method once at New and re-armed in place. The steady
+// state therefore allocates nothing per request.
 package appserver
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"srlb/internal/des"
@@ -92,6 +99,37 @@ type request struct {
 	remaining float64       // CPU-seconds still owed
 	started   time.Duration
 	onDone    func()
+	next      *request // free-list link
+}
+
+// byID orders requests by admission id.
+func byID(a, b *request) int { return cmp.Compare(a.id, b.id) }
+
+// fifo is a growable ring buffer of requests: the accept-queue backlog.
+type fifo struct {
+	buf  []*request
+	head int
+	n    int
+}
+
+func (q *fifo) push(r *request) {
+	if q.n == len(q.buf) {
+		buf := make([]*request, max(8, 2*len(q.buf)))
+		for i := 0; i < q.n; i++ {
+			buf[i] = q.buf[(q.head+i)%len(q.buf)]
+		}
+		q.buf, q.head = buf, 0
+	}
+	q.buf[(q.head+q.n)%len(q.buf)] = r
+	q.n++
+}
+
+func (q *fifo) pop() *request {
+	r := q.buf[q.head]
+	q.buf[q.head] = nil
+	q.head = (q.head + 1) % len(q.buf)
+	q.n--
+	return r
 }
 
 // Scoreboard is the shared-memory view the paper's server agent reads
@@ -123,13 +161,15 @@ type Server struct {
 	sim  *des.Simulator
 	name string
 
-	inService map[uint64]*request
-	backlog   []*request
+	inService []*request // admission order
+	backlog   fifo
 	nextID    uint64
+	free      *request   // recycled requests
+	done      []*request // complete's scratch
 
-	lastSettle  time.Duration
-	nextDone    *des.Timer
-	lastBusyAcc time.Duration
+	lastSettle time.Duration
+	nextDone   des.Timer // the next completion
+	fire       func()    // complete, bound once
 
 	stats Stats
 }
@@ -140,12 +180,9 @@ func New(sim *des.Simulator, name string, cfg Config) *Server {
 	if err := cfg.validate(); err != nil {
 		panic(err)
 	}
-	return &Server{
-		cfg:       cfg,
-		sim:       sim,
-		name:      name,
-		inService: make(map[uint64]*request, cfg.Workers),
-	}
+	s := &Server{cfg: cfg, sim: sim, name: name}
+	s.fire = s.complete
+	return s
 }
 
 // Name returns the server's display name.
@@ -164,7 +201,7 @@ func (s *Server) BusyWorkers() int { return len(s.inService) }
 func (s *Server) TotalWorkers() int { return s.cfg.Workers }
 
 // QueueLen returns the number of connections waiting in the backlog.
-func (s *Server) QueueLen() int { return len(s.backlog) }
+func (s *Server) QueueLen() int { return s.backlog.n }
 
 // Utilization returns the fraction of CPU capacity used since t0.
 func (s *Server) Utilization(since time.Duration) float64 {
@@ -184,23 +221,17 @@ func (s *Server) Offer(demand time.Duration, onDone func()) Verdict {
 		demand = 0
 	}
 	s.settle()
-	req := &request{
-		id:        s.nextID,
-		demand:    demand,
-		remaining: demand.Seconds(),
-		started:   s.sim.Now(),
-		onDone:    onDone,
-	}
+	id := s.nextID
 	s.nextID++
 	if len(s.inService) < s.cfg.Workers {
 		s.stats.Admitted++
-		s.inService[req.id] = req
+		s.inService = append(s.inService, s.newRequest(id, demand, onDone))
 		s.reschedule()
 		return Admitted
 	}
-	if len(s.backlog) < s.cfg.Backlog {
+	if s.backlog.n < s.cfg.Backlog {
 		s.stats.Admitted++
-		s.backlog = append(s.backlog, req)
+		s.backlog.push(s.newRequest(id, demand, onDone))
 		return Admitted
 	}
 	if s.cfg.AbortOnOverflow {
@@ -209,6 +240,24 @@ func (s *Server) Offer(demand time.Duration, onDone func()) Verdict {
 	}
 	s.stats.Dropped++
 	return DroppedSilently
+}
+
+// newRequest pops (or allocates) a request record.
+func (s *Server) newRequest(id uint64, demand time.Duration, onDone func()) *request {
+	req := s.free
+	if req != nil {
+		s.free = req.next
+	} else {
+		req = new(request)
+	}
+	*req = request{
+		id:        id,
+		demand:    demand,
+		remaining: demand.Seconds(),
+		started:   s.sim.Now(),
+		onDone:    onDone,
+	}
+	return req
 }
 
 // rate returns the per-request CPU rate (CPU-seconds per second).
@@ -243,13 +292,12 @@ func (s *Server) settle() {
 	s.stats.BusyTime += time.Duration(float64(len(s.inService)) * dt * float64(time.Second))
 }
 
-// reschedule plans the next completion event.
+// reschedule plans the next completion event. The server's one timer
+// is moved while pending and re-armed once fired; either way the plan
+// takes one scheduling sequence number, exactly as a fresh timer would.
 func (s *Server) reschedule() {
-	if s.nextDone != nil {
-		s.sim.Cancel(s.nextDone)
-		s.nextDone = nil
-	}
 	if len(s.inService) == 0 {
+		s.sim.Cancel(&s.nextDone)
 		return
 	}
 	minRemaining := -1.0
@@ -266,36 +314,43 @@ func (s *Server) reschedule() {
 	if wait < 1 {
 		wait = 1
 	}
-	s.nextDone = s.sim.After(wait, s.complete)
+	at := s.sim.Now() + wait
+	if !s.sim.Reschedule(&s.nextDone, at) {
+		s.sim.Arm(&s.nextDone, at, s.fire)
+	}
 }
 
 // complete settles work and finishes every request that has none left.
 func (s *Server) complete() {
-	s.nextDone = nil
 	s.settle()
 	const eps = 1e-12 // FP slack: half a picosecond of CPU work
-	var done []*request
-	for id, req := range s.inService {
+	done := s.done[:0]
+	kept := s.inService[:0]
+	for _, req := range s.inService {
 		if req.remaining <= eps {
 			done = append(done, req)
-			delete(s.inService, id)
+		} else {
+			kept = append(kept, req)
 		}
 	}
+	s.inService = kept
 	// Promote backlog into freed worker slots (FIFO, like the kernel
 	// accept queue).
-	for len(s.backlog) > 0 && len(s.inService) < s.cfg.Workers {
-		req := s.backlog[0]
-		s.backlog = s.backlog[1:]
-		s.inService[req.id] = req
+	for s.backlog.n > 0 && len(s.inService) < s.cfg.Workers {
+		s.inService = append(s.inService, s.backlog.pop())
 	}
 	s.reschedule()
-	// Map iteration order is randomized; sort by admission id so that
-	// completion callbacks (and hence packet emission) are deterministic.
-	sort.Slice(done, func(i, j int) bool { return done[i].id < done[j].id })
+	// Completion callbacks (and hence packet emission) run in admission
+	// order, whatever order the requests sat in.
+	slices.SortFunc(done, byID)
 	for _, req := range done {
 		s.stats.Completed++
-		if req.onDone != nil {
-			req.onDone()
+		onDone := req.onDone
+		*req = request{next: s.free}
+		s.free = req
+		if onDone != nil {
+			onDone()
 		}
 	}
+	s.done = done
 }

@@ -40,7 +40,6 @@ import (
 	"srlb/internal/netsim"
 	"srlb/internal/packet"
 	"srlb/internal/selection"
-	"srlb/internal/srv6"
 	"srlb/internal/tcpseg"
 )
 
@@ -329,20 +328,13 @@ func (lb *LoadBalancer) handleSYN(pkt *packet.Packet, e *vipEntry) {
 		lb.Counts.Inc("no_candidates")
 		return
 	}
-	vip := pkt.IP.Dst
-	pathSegs := append(append(make([]netip.Addr, 0, len(candidates)+1), candidates...), vip)
-	srh, err := srv6.New(ipv6.ProtoTCP, pathSegs...)
-	if err != nil {
+	// The delivered packet is owned by this node (netsim.Node contract):
+	// write the hunt list [candidates..., VIP] into its own SRH storage
+	// and mutate it in place rather than cloning on the hot path.
+	if _, err := pkt.SetSRH(candidates, pkt.IP.Dst); err != nil {
 		panic(fmt.Sprintf("core: hunt SRH: %v", err))
 	}
-	// The delivered packet is owned by this node (netsim.Node contract):
-	// mutate it in place rather than cloning on the hot path.
-	pkt.SRH = srh
-	active, err := srh.Active()
-	if err != nil {
-		panic(err)
-	}
-	pkt.IP.Dst = active
+	pkt.IP.Dst = candidates[0] // the active segment
 	lb.Counts.Inc("hunts_started")
 	lb.net.Send(pkt)
 }
@@ -440,12 +432,10 @@ func (lb *LoadBalancer) handleSteered(pkt *packet.Packet, e *vipEntry) {
 		}
 		lb.Counts.Inc("closing_observed")
 	}
-	vip := pkt.IP.Dst
-	srh, err := srv6.New(ipv6.ProtoTCP, server, vip)
-	if err != nil {
+	path := [1]netip.Addr{server}
+	if _, err := pkt.SetSRH(path[:], pkt.IP.Dst); err != nil {
 		panic(fmt.Sprintf("core: steer SRH: %v", err))
 	}
-	pkt.SRH = srh
 	pkt.IP.Dst = server
 	lb.Counts.Inc("steered")
 	lb.net.Send(pkt)

@@ -14,6 +14,9 @@
 // nothing and recycle the timer's allocation through an internal free
 // list once it fires — the zero-garbage path for fire-and-forget events
 // (packet deliveries, arrival streams), which dominate the hot loop.
+// A component with one recurring event (a server's next completion)
+// owns a Timer value instead and re-plans it with Reschedule while it
+// is pending and Arm once it has fired, again without garbage.
 //
 // The kernel is intentionally single-threaded: simulated components are
 // plain state machines invoked from the event loop, which keeps them free
@@ -328,6 +331,21 @@ func (s *Simulator) check(t time.Duration, fn func()) {
 	if fn == nil {
 		panic("des: nil event function")
 	}
+}
+
+// Arm schedules t — a zero Timer owned by the caller, or a handle that
+// has fired or been cancelled — to call fn at absolute time at. Like At
+// it takes one scheduling sequence number, so re-arming a handle orders
+// exactly as a fresh At would. Arming a pending timer panics: use
+// Reschedule.
+func (s *Simulator) Arm(t *Timer, at time.Duration, fn func()) {
+	s.check(at, fn)
+	if t.Pending() {
+		panic("des: arming a pending timer")
+	}
+	s.seq++
+	t.at, t.seq, t.fn = at, s.seq, fn
+	s.insert(t)
 }
 
 // Cancel removes a pending timer. Cancelling a fired, cancelled or nil

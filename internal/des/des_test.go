@@ -130,6 +130,50 @@ func TestRescheduleOrdering(t *testing.T) {
 	}
 }
 
+// TestArmOrdersLikeAt: a caller-owned Timer, armed from zero and
+// re-armed after it fires, takes a sequence number exactly where a
+// fresh At would, so same-instant ties break identically — and it never
+// allocates.
+func TestArmOrdersLikeAt(t *testing.T) {
+	var order []string
+	var owned Timer
+	s := New()
+	fireOwned := func() { order = append(order, "owned") }
+	s.At(time.Second, func() { order = append(order, "a") })
+	s.Arm(&owned, time.Second, fireOwned)
+	s.At(time.Second, func() { order = append(order, "b") })
+	s.Run()
+	s.At(2*time.Second, func() { order = append(order, "c") })
+	s.Arm(&owned, 2*time.Second, fireOwned) // re-arm after firing
+	s.Run()
+	want := []string{"a", "owned", "b", "c", "owned"}
+	if len(order) != len(want) {
+		t.Fatalf("order = %v, want %v", order, want)
+	}
+	for i := range want {
+		if order[i] != want[i] {
+			t.Fatalf("order = %v, want %v", order, want)
+		}
+	}
+	if owned.Pending() || s.Processed() != 5 {
+		t.Fatalf("pending %v, processed %d", owned.Pending(), s.Processed())
+	}
+	fire := func() {}
+	if allocs := testing.AllocsPerRun(100, func() {
+		s.Arm(&owned, s.Now()+time.Millisecond, fire)
+		s.Run()
+	}); allocs != 0 {
+		t.Fatalf("Arm+fire allocated %v times", allocs)
+	}
+	s.Arm(&owned, s.Now()+time.Second, fire)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("arming a pending timer did not panic")
+		}
+	}()
+	s.Arm(&owned, s.Now()+time.Second, fire)
+}
+
 func TestRunUntil(t *testing.T) {
 	s := New()
 	fired := 0

@@ -30,7 +30,10 @@ import (
 // forward without cloning per hop); conversely, anything that must
 // outlive the Handle call has to be copied out (packet.Clone). The
 // network enforces this by recycling the Packet struct and its wire
-// buffer for later deliveries once Handle returns.
+// buffer for later deliveries once Handle returns. That includes
+// pkt.SRH and its Segments, which live in the Packet's own storage:
+// after Handle returns they are recycled storage, and only a Clone may
+// keep them.
 type Node interface {
 	// Handle processes one delivered packet.
 	Handle(pkt *packet.Packet)
@@ -195,8 +198,8 @@ func (n *Network) getPacket() *packet.Packet {
 }
 
 func (n *Network) putPacket(p *packet.Packet) {
-	// Drop references into the wire buffer and SRH so the recycled
-	// struct pins nothing.
+	// Drop references into the wire buffer and the SRH so the recycled
+	// struct pins nothing (its SRH storage is its own).
 	p.SRH = nil
 	p.TCP.Payload = nil
 	n.freePkt = append(n.freePkt, p)

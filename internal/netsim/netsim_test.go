@@ -191,6 +191,58 @@ func TestTapSeesPackets(t *testing.T) {
 	}
 }
 
+// TestTapCloneSurvivesStorageReuse: deliveries recycle one Packet and
+// its inline SRH storage, and the node mutates the delivered SRH in
+// place; a Tap's Clone must stay exactly the packet as it arrived.
+func TestTapCloneSurvivesStorageReuse(t *testing.T) {
+	sim := des.New()
+	net := New(sim, Config{VerifyChecksums: true})
+	var delivered []*packet.Packet
+	net.Attach(NodeFunc(func(p *packet.Packet) {
+		delivered = append(delivered, p)
+		if p.SRH != nil {
+			p.SRH.Advance() //nolint:errcheck // scribble on the storage
+			p.SRH.Segments[0] = addrA
+		}
+	}), addrB)
+	var clones []*packet.Packet
+	net.AddTap(func(_ time.Duration, _ netip.Addr, p *packet.Packet) { clones = append(clones, p.Clone()) })
+
+	long := make([]netip.Addr, packet.InlineSegments+1) // spills to the heap
+	for i := range long {
+		long[i] = addrB
+	}
+	long[len(long)-1] = addrC
+	paths := [][]netip.Addr{{addrB, addrC, addrC}, nil, {addrB, addrC}, long, {addrB, addrB, addrC}}
+	for _, path := range paths {
+		p := mkPkt("2001:db8::a", "2001:db8::b")
+		if path != nil {
+			p.SRH = srv6.MustNew(ipv6.ProtoTCP, path...)
+		}
+		net.Send(p)
+		sim.Run()
+	}
+	if len(clones) != len(paths) {
+		t.Fatalf("tap saw %d packets, want %d", len(clones), len(paths))
+	}
+	if delivered[0] != delivered[len(delivered)-1] {
+		t.Fatal("deliveries did not reuse the Packet; the test exercises nothing")
+	}
+	for i, path := range paths {
+		c := clones[i]
+		if path == nil {
+			if c.SRH != nil {
+				t.Errorf("packet %d: clone grew an SRH %v", i, c.SRH)
+			}
+			continue
+		}
+		want := srv6.MustNew(ipv6.ProtoTCP, path...)
+		if c.SRH == nil || c.SRH.String() != want.String() {
+			t.Errorf("packet %d: clone SRH %v, want %v", i, c.SRH, want)
+		}
+	}
+}
+
 func TestSynchronousReplyFromHandler(t *testing.T) {
 	// A node may send from within Handle (that is how servers reply);
 	// the reply must be delivered on a later event, not recursively.

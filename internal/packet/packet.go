@@ -3,6 +3,17 @@
 // Packets travel the simulated network as real bytes and are re-parsed at
 // every hop, so the encode/decode path here is exactly what a software
 // router (the paper uses VPP) would execute.
+//
+// # SRH storage
+//
+// Like a VPP buffer, which carries its routing header inline, a Packet
+// owns fixed-capacity SRH storage: ParseInto, SetSRH and Clone decode or
+// write the header there and point Packet.SRH at it, so a hop through
+// the simulated network costs no heap allocation for lists of up to
+// InlineSegments segments (longer lists spill to the heap). The flip
+// side is aliasing: pkt.SRH and its Segments belong to pkt. A node that
+// receives a recycled delivery Packet (netsim) may use them only until
+// its Handle returns; only Clone yields a copy that may be kept.
 package packet
 
 import (
@@ -21,11 +32,42 @@ const DefaultHopLimit = 64
 // ErrNotTCP is returned when the chain does not terminate in TCP.
 var ErrNotTCP = errors.New("packet: upper layer is not TCP")
 
+// InlineSegments is the SRH segment-list capacity a Packet carries
+// inline: a hunt over up to four candidates plus the VIP (the longest
+// list any scheme in this repository builds). SYN-ACKs carry three
+// segments and steered packets two.
+const InlineSegments = 5
+
 // Packet is a parsed (or to-be-marshaled) IPv6[+SRH]+TCP packet.
 type Packet struct {
 	IP  ipv6.Header
 	SRH *srv6.SRH // nil when no routing header present
 	TCP tcpseg.Segment
+
+	// srh and segs are the packet's own SRH storage; SRH points at srh
+	// after ParseInto, SetSRH or Clone.
+	srh  srv6.SRH
+	segs [InlineSegments]netip.Addr
+}
+
+// ownSRH resets the packet's SRH storage to an empty list backed by the
+// inline array and returns it (not yet installed as p.SRH).
+func (p *Packet) ownSRH() *srv6.SRH {
+	p.srh = srv6.SRH{Segments: p.segs[:0]}
+	return &p.srh
+}
+
+// SetSRH installs an SRH routing the packet through path and then to
+// final (see srv6.SRH.Fill), written into the packet's own storage, and
+// points p.SRH at it. The first segment is active; the caller sets the
+// IPv6 destination. path must not alias p.SRH.Segments.
+func (p *Packet) SetSRH(path []netip.Addr, final netip.Addr) (*srv6.SRH, error) {
+	h := p.ownSRH()
+	if err := h.Fill(ipv6.ProtoTCP, path, final); err != nil {
+		return nil, err
+	}
+	p.SRH = h
+	return h, nil
 }
 
 // FlowKey identifies a TCP connection by its 4-tuple as seen by the load
@@ -117,7 +159,9 @@ func Parse(b []byte, verifyChecksum bool) (*Packet, error) {
 
 // ParseInto is Parse into a caller-provided Packet, overwriting every
 // field — the allocation-free path for callers (netsim delivery) that
-// recycle Packet structs. On error p is left in an undefined state.
+// recycle Packet structs. The SRH is decoded into p's own storage, so
+// whatever p.SRH pointed at before is not touched. On error p is left
+// in an undefined state.
 func ParseInto(p *Packet, b []byte, verifyChecksum bool) error {
 	p.SRH = nil
 	h, n, err := ipv6.Parse(b)
@@ -132,7 +176,8 @@ func ParseInto(p *Packet, b []byte, verifyChecksum bool) error {
 	rest = rest[:h.PayloadLen]
 	next := h.NextHeader
 	if next == ipv6.ProtoRouting {
-		srh, consumed, err := srv6.Parse(rest)
+		srh := p.ownSRH()
+		consumed, err := srv6.ParseInto(srh, rest)
 		if err != nil {
 			return err
 		}
@@ -158,16 +203,19 @@ func ParseInto(p *Packet, b []byte, verifyChecksum bool) error {
 }
 
 // Clone deep-copies the packet (segment list and payload included) so a
-// hop can mutate its copy without aliasing.
+// hop can mutate its copy without aliasing. The copy's SRH lives in the
+// copy's own storage.
 func (p *Packet) Clone() *Packet {
-	q := *p
+	q := &Packet{IP: p.IP, TCP: p.TCP}
 	if p.SRH != nil {
-		srh := *p.SRH
-		srh.Segments = append([]netip.Addr(nil), p.SRH.Segments...)
-		q.SRH = &srh
+		h := q.ownSRH()
+		segs := append(h.Segments, p.SRH.Segments...)
+		*h = *p.SRH
+		h.Segments = segs
+		q.SRH = h
 	}
 	q.TCP.Payload = append([]byte(nil), p.TCP.Payload...)
-	return &q
+	return q
 }
 
 // String gives a compact one-line rendering for traces and debugging.

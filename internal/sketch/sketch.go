@@ -116,9 +116,7 @@ func (h *Histogram) Add(d time.Duration) {
 	}
 	i := h.bucketIndex(v)
 	if i >= len(h.counts) {
-		grown := make([]uint64, i+1)
-		copy(grown, h.counts)
-		h.counts = grown
+		h.grow(i + 1)
 	}
 	h.counts[i]++
 	h.count++
@@ -129,6 +127,23 @@ func (h *Histogram) Add(d time.Duration) {
 	if v > h.max {
 		h.max = v
 	}
+}
+
+// grow extends counts to n buckets. A reallocation reserves capacity to
+// the end of the power-of-two range holding bucket n−1 (at most
+// 2^precision − 1 spare counters), so a rising stream reallocates at
+// most once per range instead of once per new top bucket. len stays
+// exact: Buckets and Equal see only the buckets in use.
+func (h *Histogram) grow(n int) {
+	if n <= cap(h.counts) {
+		// Counters past len were never written: zero.
+		h.counts = h.counts[:n]
+		return
+	}
+	k := h.precision
+	grown := make([]uint64, n, ((n-1)>>k+1)<<k)
+	copy(grown, h.counts)
+	h.counts = grown
 }
 
 // Count returns the number of samples. It mirrors
@@ -286,9 +301,7 @@ func (h *Histogram) Merge(other *Histogram) {
 		panic("sketch: merging histograms of different precision")
 	}
 	if len(other.counts) > len(h.counts) {
-		grown := make([]uint64, len(other.counts))
-		copy(grown, h.counts)
-		h.counts = grown
+		h.grow(len(other.counts))
 	}
 	for i, c := range other.counts {
 		h.counts[i] += c

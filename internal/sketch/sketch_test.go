@@ -289,6 +289,43 @@ func TestConstantMemory(t *testing.T) {
 
 // TestWelford checks the streaming moments against the two-pass formulas
 // and the merge against single-stream ingestion.
+// TestGrowthOncePerOctave: a monotonically rising sample stream opens a
+// new top bucket on almost every sample; the bucket array must still
+// reallocate at most once per power-of-two range (and once more to
+// leave the exact region), while Buckets stays the exact count in use.
+// The same holds for Merge, which grows to the other side's length.
+func TestGrowthOncePerOctave(t *testing.T) {
+	for _, precision := range []uint{1, 4, DefaultPrecision} {
+		h := NewPrecision(precision)
+		reallocs, lastCap := 0, 0
+		var v time.Duration = 1
+		for v < time.Hour {
+			h.Add(v)
+			if c := cap(h.counts); c != lastCap {
+				reallocs++
+				lastCap = c
+			}
+			if want := h.bucketIndex(int64(v)) + 1; h.Buckets() != want {
+				t.Fatalf("precision %d: Buckets() = %d after adding %v, want %d", precision, h.Buckets(), v, want)
+			}
+			if spare := cap(h.counts) - len(h.counts); spare > 1<<precision-1 {
+				t.Fatalf("precision %d: %d spare counters, more than 2^%d-1", precision, spare, precision)
+			}
+			v += v/64 + 1
+		}
+		octaves := h.Buckets()>>precision + 1
+		if reallocs > octaves {
+			t.Errorf("precision %d: %d reallocations over %d octaves", precision, reallocs, octaves)
+		}
+		// Merge into an empty histogram grows once, to the exact length.
+		m := NewPrecision(precision)
+		m.Merge(h)
+		if !m.Equal(h) || m.Buckets() != h.Buckets() {
+			t.Errorf("precision %d: merged copy differs (buckets %d vs %d)", precision, m.Buckets(), h.Buckets())
+		}
+	}
+}
+
 func TestWelford(t *testing.T) {
 	r := newRand(0x3714)
 	xs := make([]float64, 10_000)

@@ -63,24 +63,52 @@ type SRH struct {
 // len(path)-1, i.e. the first segment is active and the IPv6 destination
 // address should be set to it by the caller.
 func New(nextHeader uint8, pathSegments ...netip.Addr) (*SRH, error) {
-	if len(pathSegments) == 0 {
+	n := len(pathSegments)
+	if n == 0 {
 		return nil, ErrNoSegments
 	}
-	if len(pathSegments) > MaxSegments {
-		return nil, ErrTooMany
+	h := new(SRH)
+	if err := h.Fill(nextHeader, pathSegments[:n-1], pathSegments[n-1]); err != nil {
+		return nil, err
 	}
-	segs := make([]netip.Addr, len(pathSegments))
-	for i, s := range pathSegments {
+	return h, nil
+}
+
+// Fill resets h to the header New(nextHeader, path..., final) builds —
+// path visited in order, then final as the last segment — writing the
+// segment list into h.Segments' backing array when its capacity
+// suffices and allocating only otherwise. It is the allocation-free
+// constructor for callers that own recycled SRH storage. path must not
+// alias h.Segments. On error h is left unchanged.
+func (h *SRH) Fill(nextHeader uint8, path []netip.Addr, final netip.Addr) error {
+	n := len(path) + 1
+	if n > MaxSegments {
+		return ErrTooMany
+	}
+	for i, s := range path {
 		if err := ipv6.CheckAddr(s); err != nil {
-			return nil, fmt.Errorf("srv6: segment %d: %w", i, err)
+			return fmt.Errorf("srv6: segment %d: %w", i, err)
 		}
-		segs[len(pathSegments)-1-i] = s
 	}
-	return &SRH{
-		NextHeader:   nextHeader,
-		SegmentsLeft: uint8(len(pathSegments) - 1),
-		Segments:     segs,
-	}, nil
+	if err := ipv6.CheckAddr(final); err != nil {
+		return fmt.Errorf("srv6: segment %d: %w", n-1, err)
+	}
+	segs := h.resize(n)
+	segs[0] = final
+	for i, s := range path {
+		segs[n-1-i] = s
+	}
+	*h = SRH{NextHeader: nextHeader, SegmentsLeft: uint8(n - 1), Segments: segs}
+	return nil
+}
+
+// resize returns h.Segments' backing array resliced to n elements, or a
+// fresh n-element slice when its capacity is too small.
+func (h *SRH) resize(n int) []netip.Addr {
+	if cap(h.Segments) >= n {
+		return h.Segments[:n]
+	}
+	return make([]netip.Addr, n)
 }
 
 // MustNew is New, panicking on error (for tests and static tables).
@@ -208,42 +236,56 @@ func (h *SRH) Marshal(dst []byte) ([]byte, error) {
 // Parse decodes an SRH from the front of b, returning the header and the
 // number of bytes consumed.
 func Parse(b []byte) (*SRH, int, error) {
+	h := new(SRH)
+	n, err := ParseInto(h, b)
+	if err != nil {
+		return nil, 0, err
+	}
+	return h, n, nil
+}
+
+// ParseInto is Parse into a caller-provided SRH, returning the number of
+// bytes consumed. The segment list is decoded into h.Segments' backing
+// array when its capacity suffices, so a caller that recycles SRH
+// storage parses without allocating. On error h is left unchanged.
+func ParseInto(h *SRH, b []byte) (int, error) {
 	if len(b) < 8 {
-		return nil, 0, ErrTooShort
+		return 0, ErrTooShort
 	}
 	if b[2] != RoutingType {
-		return nil, 0, ErrBadRoutingType
+		return 0, ErrBadRoutingType
 	}
 	extLen := int(b[1]) * 8
 	total := 8 + extLen
 	if len(b) < total {
-		return nil, 0, ErrTooShort
+		return 0, ErrTooShort
 	}
 	if extLen%16 != 0 {
-		return nil, 0, ErrBadLen
+		return 0, ErrBadLen
 	}
 	n := extLen / 16
 	if n == 0 {
-		return nil, 0, ErrNoSegments
+		return 0, ErrNoSegments
 	}
 	lastEntry := int(b[4])
 	if lastEntry != n-1 {
-		return nil, 0, ErrBadLen
+		return 0, ErrBadLen
 	}
 	sl := b[3]
 	if int(sl) >= n {
-		return nil, 0, ErrBadSegments
+		return 0, ErrBadSegments
 	}
-	h := &SRH{
+	segs := h.resize(n)
+	for i := range segs {
+		off := 8 + 16*i
+		segs[i] = netip.AddrFrom16([16]byte(b[off : off+16]))
+	}
+	*h = SRH{
 		NextHeader:   b[0],
 		SegmentsLeft: sl,
 		Flags:        b[5],
 		Tag:          uint16(b[6])<<8 | uint16(b[7]),
-		Segments:     make([]netip.Addr, n),
+		Segments:     segs,
 	}
-	for i := 0; i < n; i++ {
-		off := 8 + 16*i
-		h.Segments[i] = netip.AddrFrom16([16]byte(b[off : off+16]))
-	}
-	return h, total, nil
+	return total, nil
 }

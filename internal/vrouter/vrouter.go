@@ -33,7 +33,6 @@ import (
 	"srlb/internal/metrics"
 	"srlb/internal/netsim"
 	"srlb/internal/packet"
-	"srlb/internal/srv6"
 	"srlb/internal/tcpseg"
 )
 
@@ -60,13 +59,34 @@ type Config struct {
 }
 
 // conn tracks one accepted connection through its request/response cycle.
+// Conns are recycled through the router's free list, and only from
+// their linger callback: the linger is scheduled when the response is
+// sent, so by then the request has completed.
 type conn struct {
 	flow      packet.FlowKey
-	demand    time.Duration
 	requested bool // request payload received
 	ready     bool // service complete, response awaiting the request
 	closed    bool // response sent; lingering to absorb late packets
+
+	gen    uint32 // incarnation, bumped each time the conn is recycled
+	linger func() // expire(c), bound once when the conn is allocated
+	next   *conn  // free-list link
 }
+
+// job is one admitted request's completion callback, bound once when the
+// job is allocated and recycled when it fires. It names the conn
+// incarnation that made the offer, so a completion that outlives that
+// incarnation cannot answer whichever connection reuses the conn.
+type job struct {
+	c    *conn
+	gen  uint32
+	fire func()
+	next *job // free-list link
+}
+
+// responsePayload is the body of every response: the bytes are copied
+// onto the wire, so one shared slice serves every connection.
+var responsePayload = []byte("HTTP/1.1 200 OK\r\n\r\n")
 
 // CloseLinger is how long connection state is retained after the response
 // is sent, absorbing in-flight client packets (TIME_WAIT in miniature —
@@ -84,6 +104,10 @@ type Router struct {
 	vipResp map[netip.Addr]uint64
 	down    bool
 	Counts  *metrics.Counter
+
+	scratch  packet.Packet // reused for SYN-ACK, RST and response frames
+	freeConn *conn
+	freeJob  *job
 }
 
 // New builds the router and attaches it to the network under its physical
@@ -206,8 +230,14 @@ func (r *Router) acceptSYN(pkt *packet.Packet) {
 		}
 	}
 	demand := r.cfg.Demand(flow, pkt.TCP.Payload)
-	c := &conn{flow: flow, demand: demand}
-	verdict := r.cfg.Server.Offer(demand, func() { r.respond(c) })
+	c := r.getConn(flow)
+	j := r.getJob(c)
+	verdict := r.cfg.Server.Offer(demand, j.fire)
+	if verdict != appserver.Admitted {
+		// The server keeps no reference to a refused offer.
+		r.putJob(j)
+		r.putConn(c)
+	}
 	switch verdict {
 	case appserver.Admitted:
 		r.conns[flow] = c
@@ -221,10 +251,89 @@ func (r *Router) acceptSYN(pkt *packet.Packet) {
 	}
 }
 
+// getConn pops (or allocates) a conn for flow.
+func (r *Router) getConn(flow packet.FlowKey) *conn {
+	c := r.freeConn
+	if c != nil {
+		r.freeConn = c.next
+		*c = conn{gen: c.gen, linger: c.linger}
+	} else {
+		c = &conn{}
+		c.linger = func() { r.expire(c) }
+	}
+	c.flow = flow
+	return c
+}
+
+// putConn recycles c, starting its next incarnation.
+func (r *Router) putConn(c *conn) {
+	c.gen++
+	c.next = r.freeConn
+	r.freeConn = c
+}
+
+// getJob pops (or allocates) a completion job for c's current
+// incarnation.
+func (r *Router) getJob(c *conn) *job {
+	j := r.freeJob
+	if j != nil {
+		r.freeJob = j.next
+		j.next = nil
+	} else {
+		j = &job{}
+		j.fire = func() { r.complete(j) }
+	}
+	j.c, j.gen = c, c.gen
+	return j
+}
+
+func (r *Router) putJob(j *job) {
+	j.c = nil
+	j.next = r.freeJob
+	r.freeJob = j
+}
+
+// complete is a job's callback: the application finished the request.
+func (r *Router) complete(j *job) {
+	c, gen := j.c, j.gen
+	r.putJob(j)
+	if c.gen != gen {
+		// The conn was recycled while its request was still in service.
+		r.Counts.Inc("stale_completion")
+		return
+	}
+	r.respond(c)
+}
+
+// expire is a conn's linger callback: drop the conn state (unless a new
+// connection of the same flow has replaced it) and recycle the conn.
+func (r *Router) expire(c *conn) {
+	if cur, ok := r.conns[c.flow]; ok && cur == c {
+		delete(r.conns, c.flow)
+	}
+	r.putConn(c)
+}
+
 // sendSYNACK replies to a SYN with an SRH [self, LB, client] so the LB
 // learns which server accepted (figure 1: SYN-ACK {a, S2, LB, c}).
 func (r *Router) sendSYNACK(pkt *packet.Packet, flow packet.FlowKey) {
-	srh, err := srv6.New(ipv6.ProtoTCP, r.cfg.Addr, r.cfg.LB, flow.Src)
+	// The scratch packet is free: netsim.Send serializes before returning
+	// and retains nothing, and the inbound pkt is a distinct struct.
+	reply := &r.scratch
+	*reply = packet.Packet{
+		IP: ipv6.Header{
+			Src: flow.Dst, // the VIP: the client must see the service address
+		},
+		TCP: tcpseg.Segment{
+			SrcPort: flow.DstPort,
+			DstPort: flow.SrcPort,
+			Seq:     1,
+			Ack:     pkt.TCP.Seq + 1,
+			Flags:   tcpseg.FlagSYN | tcpseg.FlagACK,
+		},
+	}
+	path := [2]netip.Addr{r.cfg.Addr, r.cfg.LB}
+	srh, err := reply.SetSRH(path[:], flow.Src)
 	if err != nil {
 		panic(fmt.Sprintf("vrouter: SYN-ACK SRH: %v", err))
 	}
@@ -234,20 +343,7 @@ func (r *Router) sendSYNACK(pkt *packet.Packet, flow packet.FlowKey) {
 	if err != nil {
 		panic(err)
 	}
-	reply := &packet.Packet{
-		IP: ipv6.Header{
-			Src: flow.Dst, // the VIP: the client must see the service address
-			Dst: next,     // through the LB
-		},
-		SRH: srh,
-		TCP: tcpseg.Segment{
-			SrcPort: flow.DstPort,
-			DstPort: flow.SrcPort,
-			Seq:     1,
-			Ack:     pkt.TCP.Seq + 1,
-			Flags:   tcpseg.FlagSYN | tcpseg.FlagACK,
-		},
-	}
+	reply.IP.Dst = next // through the LB
 	r.Counts.Inc("synack_tx")
 	r.net.Send(reply)
 }
@@ -256,7 +352,8 @@ func (r *Router) sendSYNACK(pkt *packet.Packet, flow packet.FlowKey) {
 // client — the paper's tcp_abort_on_overflow behavior.
 func (r *Router) sendRST(pkt *packet.Packet) {
 	flow := pkt.Flow()
-	rst := &packet.Packet{
+	rst := &r.scratch
+	*rst = packet.Packet{
 		IP: ipv6.Header{Src: flow.Dst, Dst: flow.Src},
 		TCP: tcpseg.Segment{
 			SrcPort: flow.DstPort,
@@ -329,12 +426,9 @@ func (r *Router) respond(c *conn) {
 // schedules conn-state teardown after the linger.
 func (r *Router) emitResponse(c *conn) {
 	c.closed = true
-	r.sim.After(CloseLinger, func() {
-		if cur, ok := r.conns[c.flow]; ok && cur == c {
-			delete(r.conns, c.flow)
-		}
-	})
-	resp := &packet.Packet{
+	r.sim.ScheduleAfter(CloseLinger, c.linger)
+	resp := &r.scratch
+	*resp = packet.Packet{
 		IP: ipv6.Header{Src: c.flow.Dst, Dst: c.flow.Src},
 		TCP: tcpseg.Segment{
 			SrcPort: c.flow.DstPort,
@@ -342,7 +436,7 @@ func (r *Router) emitResponse(c *conn) {
 			Seq:     2,
 			Ack:     2,
 			Flags:   tcpseg.FlagPSH | tcpseg.FlagACK | tcpseg.FlagFIN,
-			Payload: []byte("HTTP/1.1 200 OK\r\n\r\n"),
+			Payload: responsePayload,
 		},
 	}
 	r.Counts.Inc("responses_tx")
