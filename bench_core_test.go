@@ -1,9 +1,10 @@
 // Core hot-path benchmarks and the BENCH_core.json perf trajectory.
 //
-// Seven benchmarks cover the layers the perf work touches: the DES
+// Eight benchmarks cover the layers the perf work touches: the DES
 // event kernel, sketch ingestion, the generator's sink-mode query path,
 // a reference figure-2 cell, the per-packet dispatch lookup at 1k and
-// 10k advertised VIPs, and the telemetry plane's report ingest. TestBenchCore (gated behind SRLB_BENCH_CORE=1)
+// 10k advertised VIPs, and the telemetry plane's report ingest and
+// 1k-VIP publishing tick. TestBenchCore (gated behind SRLB_BENCH_CORE=1)
 // runs them through testing.Benchmark, writes the measurements to
 // BENCH_core.json, and fails when any benchmark's allocs/op regresses
 // more than 2x against the committed baseline — the CI smoke job runs
@@ -140,10 +141,11 @@ func BenchmarkDispatchLookup10k(b *testing.B) { benchmarkDispatchLookup(b, 10000
 
 // BenchmarkFeedbackIngest measures the telemetry plane's steady-state
 // ingest path: one op is one server sampling its scoreboard (EWMA fold)
-// and publishing the report into the view's (VIP, server) slot. After
-// first contact the slot is reused, so the loop must allocate nothing —
-// publishing scales with servers × reporting rate, and any per-report
-// allocation would dominate long feedback-enabled sweeps.
+// and ingesting the report through a VIP into the server's report slot.
+// After first contact the slot and the VIP's membership are reused, so
+// the loop must allocate nothing — publishing scales with servers ×
+// reporting rate, and any per-report allocation would dominate long
+// feedback-enabled sweeps.
 func BenchmarkFeedbackIngest(b *testing.B) {
 	var now time.Duration
 	view := feedback.NewView(feedback.Config{Enabled: true}, func() time.Duration { return now })
@@ -166,6 +168,29 @@ func BenchmarkFeedbackIngest(b *testing.B) {
 		view.Ingest(vip, addrs[s], pubs[s].Sample(now, s%8, 8, i&31))
 	}
 	benchCoreSink = int(view.Stats().Ingests)
+}
+
+// BenchmarkFeedbackPublish1k measures one publishing tick
+// (Testbed.PublishFeedback) on a generated 1k-VIP cluster of 16 shared
+// pools × 12 servers with wleastload on every VIP: one op samples all
+// 192 servers and writes each report once into the view's per-server
+// slot, whatever the number of VIPs per pool. The tick must allocate
+// nothing, and its cost must scale with servers, not VIPs × servers.
+func BenchmarkFeedbackPublish1k(b *testing.B) {
+	top := testbed.GenerateTopology(testbed.GenSpec{Seed: 0xfeed, VIPs: 1000, Pools: 16, ServersPerPool: 12})
+	wll := experiments.WeightedLeastLoadPolicy().Scheme
+	for v := range top.VIPs {
+		top.VIPs[v].FeedbackScheme = wll
+	}
+	top.Feedback = feedback.Config{Enabled: true}
+	tb := testbed.Build(top)
+	tb.PublishFeedback()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tb.PublishFeedback()
+	}
+	benchCoreSink = int(tb.Feedback.Stats().Ingests)
 }
 
 // TestDispatchComplexityClass pins the complexity class the vipscale
@@ -255,6 +280,7 @@ func TestBenchCore(t *testing.T) {
 		{"DispatchLookup1k", BenchmarkDispatchLookup1k},
 		{"DispatchLookup10k", BenchmarkDispatchLookup10k},
 		{"FeedbackIngest", BenchmarkFeedbackIngest},
+		{"FeedbackPublish1k", BenchmarkFeedbackPublish1k},
 	}
 	// Read the committed baseline before the output path can clobber it
 	// (locally both default to BENCH_core.json).

@@ -165,8 +165,8 @@
 // The paper's schemes are deliberately feedback-free; their natural
 // competitors are not. internal/feedback is the out-of-band telemetry
 // plane those competitors need — servers publish EWMA-smoothed load
-// reports on a virtual-time tick into a per-(VIP, server) view with
-// freshness tracking (a report older than the TTL demotes every
+// reports on a virtual-time tick into one report slot per server, read
+// through per-VIP membership projections with freshness tracking (a report older than the TTL demotes every
 // consumer to its load-oblivious fallback; failed servers go stale by
 // silence) — and internal/selection gains the stateful scheme surface
 // (Stateful/Resteerer, probed once at VIP-compile time) plus two

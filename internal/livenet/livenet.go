@@ -176,14 +176,16 @@ func (lb *LoadBalancer) handle(pkt *packet.Packet) {
 }
 
 func (lb *LoadBalancer) handleSYN(pkt *packet.Packet) {
+	// Copy the candidates under the lock: Pick may return scheme-owned
+	// scratch that the next SYN's Pick overwrites.
 	lb.mu.Lock()
 	candidates := lb.scheme.Pick(pkt.Flow())
+	segs := append(append(make([]netip.Addr, 0, len(candidates)+1), candidates...), lb.vip)
 	lb.mu.Unlock()
 	if len(candidates) == 0 {
 		return
 	}
 	out := pkt.Clone()
-	segs := append(append(make([]netip.Addr, 0, len(candidates)+1), candidates...), lb.vip)
 	srh, err := srv6.New(ipv6.ProtoTCP, segs...)
 	if err != nil {
 		return

@@ -23,7 +23,11 @@ import (
 // runtime serializes through the LB lock).
 type Scheme interface {
 	// Pick returns the ordered candidate servers for the flow. The last
-	// candidate is the "must accept" penultimate segment.
+	// candidate is the "must accept" penultimate segment. The slice may
+	// be scheme-owned scratch: it is valid only until the next Pick on
+	// the same scheme, so a caller that keeps candidates copies them.
+	// Callers may reorder it in place (WeightedLeastLoad re-ranks the
+	// slice its inner Random returns).
 	Pick(flow packet.FlowKey) []netip.Addr
 	// Name returns the scheme's display name.
 	Name() string
@@ -35,6 +39,10 @@ type Random struct {
 	k       int
 	servers []netip.Addr
 	rng     *rand.Rand
+	// out is Pick's result scratch, length k. It is never a subslice of
+	// servers: callers may reorder the result, and that must not touch
+	// the shuffle state.
+	out []netip.Addr
 }
 
 // NewRandom builds a random scheme over the given servers. It panics when
@@ -51,22 +59,24 @@ func NewRandom(servers []netip.Addr, k int, rng *rand.Rand) *Random {
 		k:       k,
 		servers: append([]netip.Addr(nil), servers...),
 		rng:     rng,
+		out:     make([]netip.Addr, k),
 	}
 }
 
 // Pick implements Scheme via a partial Fisher–Yates shuffle: O(k) time,
 // k distinct servers, each k-subset ordered uniformly. The permutation is
 // left in place between calls, which does not bias later draws (a partial
-// shuffle of any fixed permutation of the set is still uniform).
+// shuffle of any fixed permutation of the set is still uniform). The
+// result is the scheme's scratch slice: allocation-free, and valid until
+// the next Pick.
 func (r *Random) Pick(packet.FlowKey) []netip.Addr {
 	n := len(r.servers)
-	out := make([]netip.Addr, r.k)
 	for i := 0; i < r.k; i++ {
 		j := i + r.rng.IntN(n-i)
 		r.servers[i], r.servers[j] = r.servers[j], r.servers[i]
-		out[i] = r.servers[i]
+		r.out[i] = r.servers[i]
 	}
-	return out
+	return r.out
 }
 
 // Name implements Scheme.

@@ -41,6 +41,25 @@ func TestRandomDistinctCandidates(t *testing.T) {
 	}
 }
 
+// Pick's result is scheme-owned scratch: allocation-free, and never the
+// shuffle state itself — a caller reordering the result in place (as
+// WeightedLeastLoad does) must not perturb later draws.
+func TestRandomPickScratch(t *testing.T) {
+	s := NewRandom(servers(12), 2, rng.New(5))
+	ref := NewRandom(servers(12), 2, rng.New(5))
+	for i := 0; i < 1000; i++ {
+		p, q := s.Pick(flow(i)), ref.Pick(flow(i))
+		if p[0] != q[0] || p[1] != q[1] {
+			t.Fatalf("draw %d diverged after in-place reorders: %v vs %v", i, p, q)
+		}
+		p[0], p[1] = p[1], p[0]
+	}
+	f := flow(0)
+	if allocs := testing.AllocsPerRun(100, func() { s.Pick(f) }); allocs != 0 {
+		t.Fatalf("Random.Pick allocates %.1f times per call, want 0", allocs)
+	}
+}
+
 func TestRandomUniformity(t *testing.T) {
 	srv := servers(12)
 	s := NewRandom(srv, 2, rng.New(2))

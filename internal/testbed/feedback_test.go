@@ -1,12 +1,16 @@
 package testbed
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math/rand/v2"
 	"net/netip"
 	"testing"
 	"time"
 
+	"srlb/internal/agent"
 	"srlb/internal/feedback"
+	"srlb/internal/rng"
 	"srlb/internal/selection"
 )
 
@@ -244,5 +248,153 @@ func TestFeedbackDisabledUsesPlainScheme(t *testing.T) {
 	}
 	if built != 1 {
 		t.Fatalf("plain scheme built %d times, want 1", built)
+	}
+}
+
+// feedbackSteeringDigest drives a feedback-enabled shared-pool cluster —
+// 40 generated VIPs over 3 pools × 4 servers, two anycast replicas
+// running wleastload fed by the periodic publishing tick, a replica
+// kill/recover pair so the view-reset path runs — and folds every
+// client-observed Result plus each replica's LB counters into one
+// digest. Every steering decision reads the telemetry view, so any
+// change to what a projection answers (value, freshness, timing) moves
+// the hash.
+func feedbackSteeringDigest() uint64 {
+	top := GenerateTopology(GenSpec{
+		Seed:           211,
+		VIPs:           40,
+		Pools:          3,
+		ServersPerPool: 4,
+		Replicas:       2,
+		Fallback:       testFallback,
+		Events: []Event{
+			// Replica 1's last report lands at 280 ms; at the 325 ms
+			// recovery it is 45 ms old, inside the 60 ms TTL, so only
+			// the view reset makes the restarted replica steer
+			// obliviously until the 340 ms tick.
+			FailReplica(300*time.Millisecond, 1),
+			RecoverReplica(325*time.Millisecond, 1),
+		},
+	})
+	for p := range top.Pools {
+		top.Pools[p].Policy = func(int) agent.Policy { return agent.NewStatic(4) }
+	}
+	for v := range top.VIPs {
+		top.VIPs[v].FeedbackScheme = wllFeedbackScheme
+	}
+	top.Feedback = feedback.Config{Enabled: true, Interval: 20 * time.Millisecond, Horizon: time.Second}
+	tb := Build(top)
+	tb.Gen.RetainResults = true
+	r := rng.Split(211, 0xd1ce)
+	p := rng.NewPoisson(rng.Split(211, 0xa17), 1400, 0)
+	for i := 0; i < 1000; i++ {
+		at := p.Next()
+		q := Query{ID: uint64(i), VIP: tb.VIPAddrOf(int(r.Uint64() % 40)), Demand: rng.Exp(r, 12*time.Millisecond)}
+		tb.Sim.At(at, func() { tb.Gen.Launch(q) })
+	}
+	tb.Sim.Run()
+	tb.Gen.DrainPending()
+	h := fnv.New64a()
+	var buf [8]byte
+	binary.BigEndian.PutUint64(buf[:], resultsDigest(tb.Gen.Results()))
+	h.Write(buf[:])
+	for _, lb := range tb.LBs {
+		for _, k := range lb.Counts.Keys() {
+			h.Write([]byte(k))
+			binary.BigEndian.PutUint64(buf[:], lb.Counts.Get(k))
+			h.Write(buf[:])
+		}
+	}
+	return h.Sum64()
+}
+
+// The digest below was recorded when every view stored one report per
+// (VIP, server) pair and each tick fanned a server's sample out to every
+// VIP of its pool. Per-server report slots must steer identically: the
+// same reports, fresh at the same instants, reset at the same recovery.
+func TestFeedbackSteeringGolden(t *testing.T) {
+	const want = uint64(0x98b515c946ede564)
+	if got := feedbackSteeringDigest(); got != want {
+		t.Fatalf("feedback steering digest = %#x, want %#x — the telemetry plane changed what wleastload saw", got, want)
+	}
+}
+
+// A load report is a property of a server, not of a (VIP, server) pair:
+// one publish writes each live server's sample once into every live
+// replica's view, however many VIPs share its pool — while every VIP's
+// projection still answers for exactly its own pool's servers, fresh at
+// the publisher's utilization, and a down replica's view stays untouched.
+func TestPublishFeedbackOncePerServer(t *testing.T) {
+	const (
+		vips    = 200
+		pools   = 4
+		perPool = 3
+	)
+	top := GenerateTopology(GenSpec{
+		Seed:           223,
+		VIPs:           vips,
+		Pools:          pools,
+		ServersPerPool: perPool,
+		Replicas:       2,
+		Events:         []Event{FailReplica(0, 1)},
+	})
+	for v := range top.VIPs {
+		top.VIPs[v].FeedbackScheme = wllFeedbackScheme
+	}
+	// Horizon 0: no automatic ticker — the test publishes once.
+	top.Feedback = feedback.Config{Enabled: true}
+	tb := Build(top)
+	// Long queries on a few VIPs, so some servers are busy at the publish
+	// instant and utilizations differ.
+	for i := 0; i < 24; i++ {
+		q := Query{ID: uint64(i), VIP: tb.VIPAddrOf(i % 7), Demand: time.Second}
+		tb.Sim.At(time.Duration(i)*100*time.Microsecond, func() { tb.Gen.Launch(q) })
+	}
+	ran := false
+	tb.Sim.At(20*time.Millisecond, func() {
+		ran = true
+		want := make(map[netip.Addr]float64, pools*perPool)
+		busy := 0
+		for v := 0; v < pools; v++ {
+			for i := 0; i < perPool; i++ {
+				srv := tb.ServerOf(v, i)
+				want[SharedPoolServerAddr(v, i)] = float64(srv.BusyWorkers()) / float64(srv.TotalWorkers())
+				busy += srv.BusyWorkers()
+			}
+		}
+		if busy == 0 {
+			t.Fatal("no server busy at the publish instant; the probe would not tell utilizations apart")
+		}
+		before0, before1 := tb.FeedbackOf(0).Stats(), tb.FeedbackOf(1).Stats()
+		tb.PublishFeedback()
+		if got := tb.FeedbackOf(0).Stats().Ingests - before0.Ingests; got != pools*perPool {
+			t.Fatalf("live replica ingested %d reports in one publish, want %d (one per live server)", got, pools*perPool)
+		}
+		if got := tb.FeedbackOf(1).Stats(); got != before1 {
+			t.Fatalf("down replica's view changed on publish: %+v -> %+v", before1, got)
+		}
+		for v := 0; v < vips; v++ {
+			live, down := tb.FeedbackOf(0).For(tb.VIPAddrOf(v)), tb.FeedbackOf(1).For(tb.VIPAddrOf(v))
+			for p := 0; p < pools; p++ {
+				for i := 0; i < perPool; i++ {
+					a := SharedPoolServerAddr(p, i)
+					load, fresh := live.ServerLoad(a)
+					if p == v%pools {
+						if !fresh || load != want[a] {
+							t.Fatalf("VIP %d reads own-pool server %v as (%v, %v), want (%v, true)", v, a, load, fresh, want[a])
+						}
+					} else if load != 0 || fresh {
+						t.Fatalf("VIP %d reads pool-%d server %v as (%v, %v), want (0, false)", v, p, a, load, fresh)
+					}
+					if load, fresh := down.ServerLoad(a); load != 0 || fresh {
+						t.Fatalf("down replica's VIP %d reads %v as (%v, %v), want (0, false)", v, a, load, fresh)
+					}
+				}
+			}
+		}
+	})
+	tb.Sim.Run()
+	if !ran {
+		t.Fatal("publish probe never ran")
 	}
 }

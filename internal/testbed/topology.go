@@ -627,6 +627,10 @@ type serverSlot struct {
 	// pub is the slot's feedback publisher (EWMA state), nil when the
 	// topology's telemetry plane is disabled.
 	pub *feedback.Publisher
+	// reports holds the server's report slot in each replica's view
+	// (indexed by replica, nil when the plane is disabled): the
+	// publishing tick writes through these handles, with no lookup.
+	reports []*feedback.Slot
 }
 
 // poolState is the runtime side of one pool — named and shared, or the
@@ -645,6 +649,14 @@ type poolState struct {
 	pool        []netip.Addr // currently selectable servers
 	all         []*serverSlot
 	vips        []*vipState // every VIP selecting over this pool
+	// vipAddrs are the addresses of vips, in order — the service set
+	// every member's router hosts.
+	vipAddrs []netip.Addr
+	// members is the pool's membership group in each replica's view
+	// (indexed by replica, nil when the plane is disabled): every VIP of
+	// the pool projects onto the same group, which each server joins
+	// once when it is built.
+	members []*feedback.Group
 }
 
 func (ps *poolState) removeFromPool(addr netip.Addr) bool {
@@ -795,6 +807,7 @@ func Build(top Topology) *Testbed {
 			tb.pools = append(tb.pools, vs.pool)
 		}
 		vs.pool.vips = append(vs.pool.vips, vs)
+		vs.pool.vipAddrs = append(vs.pool.vipAddrs, vs.addr)
 		tb.vips[v] = vs
 	}
 	tb.pools = append(tb.pools, named...)
@@ -833,8 +846,13 @@ func Build(top Topology) *Testbed {
 			// subscription" by the feedback package's contract. In steady
 			// state every replica receives identical reports at identical
 			// instants, but a down replica receives nothing and a
-			// recovering one starts from scratch.
+			// recovering one starts from scratch. A report is the server's,
+			// not a (VIP, server) pair's: the VIPs of a pool share one
+			// membership group, which each server joins once at build.
 			rs.view = feedback.NewView(top.Feedback, sim.Now)
+			for _, pool := range tb.pools {
+				pool.members = append(pool.members, rs.view.Share(pool.vipAddrs))
+			}
 		}
 		// The indexed config form: VIP v gets dense id v in every replica,
 		// so construction is one slice walk — no per-replica maps, and the
@@ -925,11 +943,12 @@ func (tb *Testbed) buildScheme(rs *replicaState, vs *vipState, servers []netip.A
 }
 
 // PublishFeedback samples every live server's scoreboard once and
-// ingests one report per (VIP, server) into each live replica's view —
+// writes the report into the server's slot in each live replica's view —
 // the body of the periodic publishing tick, exported so staleness tests
 // can drive reports at instants of their choosing. Each server samples
-// once (one EWMA step per tick), every subscriber sees the same
-// numbers; a down replica receives nothing, so its view goes stale
+// once (one EWMA step per tick) and publishes once per live replica,
+// however many VIPs its pool serves: every VIP of the pool reads the
+// same slot. A down replica receives nothing, so its view goes stale
 // exactly as a dead process's would. No-op when the feedback plane is
 // disabled.
 func (tb *Testbed) PublishFeedback() {
@@ -944,12 +963,9 @@ func (tb *Testbed) PublishFeedback() {
 			}
 			srv := slot.server
 			rpt := slot.pub.Sample(now, srv.BusyWorkers(), srv.TotalWorkers(), slot.router.OpenConns())
-			for _, vs := range pool.vips {
-				for _, rs := range tb.replicas {
-					if rs.down {
-						continue
-					}
-					rs.view.Ingest(vs.addr, slot.addr, rpt)
+			for r, rs := range tb.replicas {
+				if !rs.down {
+					slot.reports[r].Publish(rpt)
 				}
 			}
 		}
@@ -987,10 +1003,6 @@ func (tb *Testbed) buildServer(pool *poolState, i int) *serverSlot {
 	if pool.implicitVIP == 0 {
 		name = fmt.Sprintf("server-%d", i)
 	}
-	vips := make([]netip.Addr, len(pool.vips))
-	for n, vs := range pool.vips {
-		vips[n] = vs.addr
-	}
 	var demand vrouter.DemandFn
 	if len(pool.vips) == 1 {
 		// Single-VIP pools (every legacy topology) keep the direct demand
@@ -1016,7 +1028,7 @@ func (tb *Testbed) buildServer(pool *poolState, i int) *serverSlot {
 	srv := appserver.New(tb.Sim, name, serverCfg)
 	rt := vrouter.New(tb.Sim, tb.Net, vrouter.Config{
 		Addr:   pool.addr(i),
-		VIPs:   vips,
+		VIPs:   pool.vipAddrs,
 		LB:     LBAddr,
 		Policy: spec.Policy(i),
 		Server: srv,
@@ -1027,6 +1039,10 @@ func (tb *Testbed) buildServer(pool *poolState, i int) *serverSlot {
 	slot := &serverSlot{addr: rt.Addr(), router: rt, server: srv}
 	if tb.Feedback != nil {
 		slot.pub = feedback.NewPublisher(tb.Feedback.Config().Alpha)
+		slot.reports = make([]*feedback.Slot, len(pool.members))
+		for r, g := range pool.members {
+			slot.reports[r] = g.Join(slot.addr)
+		}
 	}
 	pool.all = append(pool.all, slot)
 	return slot
