@@ -20,10 +20,10 @@
 // With -seeds N > 1 every Poisson-family experiment (calibrate, figures
 // 2–5, ablations, hetero, bursty, failover, churn, multiservice,
 // interference, policies) replicates its cells across N derived seeds and
-// reports mean ± 95% CI; BENCH_sweep.json (schema v8, see
-// docs/RESULTS_SCHEMA.md) carries the per-cell aggregates — for multi-VIP
-// cells, with one per-VIP row per service inside each cell, each carrying
-// that service's own resolved load. The wiki replay (figures 6–8) stays
+// reports mean ± 95% CI; BENCH_sweep.json (schema version
+// sweepSchemaVersion, see docs/RESULTS_SCHEMA.md) carries the per-cell
+// aggregates — for multi-VIP cells, with one per-VIP row per service
+// inside each cell, each carrying that service's own resolved load. The wiki replay (figures 6–8) stays
 // single-seed — replicate it through the Sweep API as in
 // examples/wikipedia.
 package main

@@ -260,7 +260,8 @@
 //   - internal/srv6, internal/ipv6, internal/tcpseg, internal/packet — codecs
 //   - internal/appserver — processor-sharing Apache model
 //   - internal/des, internal/netsim — simulation kernel and LAN
-//   - internal/livenet — real-time goroutine runtime, same wire format
+//   - internal/livenet — real-time runtime: core and vrouter on wall-clock
+//     ports over an in-memory LAN, with an I/O-bound worker pool
 //   - internal/workload: internal/wiki, internal/trace, internal/rng
 //   - internal/stats — replication statistics: Dist, Replicated,
 //     Student-t CIs, seeded bootstrap

@@ -1,30 +1,40 @@
 // Live: Service Hunting on a real-time, goroutine-per-node network.
 //
-// The simulator reproduces the paper's numbers; this example shows the
-// same protocol elements — hunting SRH insertion, local accept/refuse,
-// SYN-ACK flow learning — running under real concurrency with the same
+// The simulator reproduces the paper's numbers; this example runs the
+// very same load balancer (internal/core) and virtual routers
+// (internal/vrouter) — hunting SRH insertion, local accept/refuse,
+// SYN-ACK flow learning — under real concurrency with the same
 // byte-accurate packets, using internal/livenet. Four worker-pool servers
-// behind one load balancer serve a burst of client queries; the busy-
+// behind one load balancer serve a stream of client queries; the busy-
 // threshold policy steers load away from the two artificially slowed
-// servers.
+// servers. It exits non-zero if any query goes unanswered.
 //
 //	go run ./examples/live
 package main
 
 import (
 	"fmt"
+	"net/netip"
+	"os"
 	"time"
 
 	"srlb/internal/agent"
+	"srlb/internal/core"
 	"srlb/internal/ipv6"
 	"srlb/internal/livenet"
+	"srlb/internal/packet"
 	"srlb/internal/rng"
 	"srlb/internal/selection"
-
-	"net/netip"
 )
 
 func main() {
+	if err := run(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
+
+func run() error {
 	const (
 		servers = 4
 		queries = 400
@@ -43,19 +53,20 @@ func main() {
 		if i >= 2 {
 			service = 40 * time.Millisecond // two deliberately slow replicas
 		}
-		svc := service
 		pool[i] = livenet.NewServer(net, livenet.ServerConfig{
 			Addr:    addrs[i],
-			VIP:     vip,
+			VIPs:    []netip.Addr{vip},
 			LB:      lbAddr,
 			Workers: 8,
 			Policy:  agent.NewStatic(4), // SR4: refuse when ≥4 workers busy
-			Service: func([]byte) time.Duration { return svc },
+			Demand:  func(packet.FlowKey, []byte) time.Duration { return service },
 		})
 	}
 
-	scheme := selection.NewRandom(addrs, 2, rng.New(42))
-	livenet.NewLoadBalancer(net, lbAddr, vip, scheme)
+	livenet.NewLoadBalancer(net, core.Config{
+		Addr:    lbAddr,
+		VIPList: []core.VIPConfig{{Addr: vip, Scheme: selection.NewRandom(addrs, 2, rng.New(42))}},
+	})
 
 	client := livenet.NewClient(net, ipv6.MustAddr("2001:db8:c::1"), vip)
 
@@ -77,8 +88,7 @@ func main() {
 				total += o.RT
 			}
 		case <-time.After(5 * time.Second):
-			fmt.Printf("timeout: %d results missing\n", queries-done-refused)
-			return
+			return fmt.Errorf("timeout: %d results missing (LAN drops: %+v)", queries-done-refused, net.Stats())
 		}
 	}
 	fmt.Printf("live run: %d ok, %d refused in %v\n", done, refused, time.Since(start).Round(time.Millisecond))
@@ -93,4 +103,5 @@ func main() {
 		fmt.Printf("server %d (%s): accepted %d connections\n", i, kind, s.Accepted())
 	}
 	fmt.Println("note how hunting concentrates work on the fast replicas.")
+	return nil
 }

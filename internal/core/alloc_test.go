@@ -35,7 +35,7 @@ func TestDispatchAllocationFree(t *testing.T) {
 		delivered++
 	})
 	net.Attach(sink, sAddr1, sAddr2)
-	lb := New(sim, net, Config{
+	lb := New(net, Config{
 		Addr:    lbAddr,
 		VIPList: []VIPConfig{{Addr: vip, Scheme: fixedScheme{sAddr1, sAddr2}}},
 	})

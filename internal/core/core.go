@@ -30,10 +30,8 @@ package core
 import (
 	"fmt"
 	"net/netip"
-	"sort"
 	"time"
 
-	"srlb/internal/des"
 	"srlb/internal/flowtable"
 	"srlb/internal/ipv6"
 	"srlb/internal/metrics"
@@ -58,36 +56,26 @@ type VIPConfig struct {
 	Fallback selection.Scheme
 }
 
-// Config assembles a load balancer. Exactly one of VIPs (the legacy map
-// form) or VIPList (the indexed form) must be populated.
+// Config assembles a load balancer.
 type Config struct {
 	// Addr is the LB's own address (the segment servers route SYN-ACKs
 	// through).
 	Addr netip.Addr
-	// VIPs maps each advertised virtual IP to its selection scheme — the
-	// legacy map form. It is compiled into the same indexed internal
-	// table as VIPList (sorted by address so ids are deterministic).
-	VIPs map[netip.Addr]selection.Scheme
-	// VIPList declares the advertised VIPs in dense-id order — the form
-	// scale callers use: one slice, no per-VIP map churn, ids assigned by
-	// position.
+	// VIPList declares the advertised VIPs (at least one) in dense-id
+	// order: one slice, no per-VIP map churn, ids assigned by position.
 	VIPList []VIPConfig
 	// Flows tunes the flow table (zero value = defaults).
 	Flows flowtable.Config
 	// SweepInterval bounds how often expired flow entries are collected.
 	// Sweeps run opportunistically on the datapath (at most one per
 	// interval), never from a free-running timer — so an idle simulation
-	// terminates. Default 1s of virtual time; negative disables.
+	// terminates. Default 1s; negative disables.
 	SweepInterval time.Duration
 	// MissFallback, when non-nil, selects a server for non-SYN packets
 	// that miss the flow table (e.g. after LB state loss) instead of
-	// dropping them. A consistent-hash scheme makes this deterministic.
+	// dropping them, for every VIP without its own VIPConfig.Fallback. A
+	// consistent-hash scheme makes this deterministic.
 	MissFallback selection.Scheme
-	// MissFallbacks, when non-nil, overrides MissFallback per VIP for the
-	// legacy map form. (VIPList callers set VIPConfig.Fallback instead.)
-	// A VIP absent from the map falls back to MissFallback, then to
-	// dropping.
-	MissFallbacks map[netip.Addr]selection.Scheme
 }
 
 // vipEntry is the compiled per-VIP dispatch state: everything the hot
@@ -110,8 +98,7 @@ type vipEntry struct {
 // LoadBalancer is the SRLB forwarding-plane element.
 type LoadBalancer struct {
 	cfg       Config
-	sim       *des.Simulator
-	net       *netsim.Network
+	port      netsim.Port
 	flows     *flowtable.Table
 	lastSweep time.Duration
 	Counts    *metrics.Counter
@@ -121,34 +108,24 @@ type LoadBalancer struct {
 	vips     []vipEntry
 }
 
-// New builds the LB and attaches it to the network under its own address
-// and every VIP it advertises.
-func New(sim *des.Simulator, net *netsim.Network, cfg Config) *LoadBalancer {
-	lb := NewDetached(sim, net, cfg)
-	addrs := make([]netip.Addr, 0, 1+len(lb.vips))
-	addrs = append(addrs, cfg.Addr)
-	for i := range lb.vips {
-		addrs = append(addrs, lb.vips[i].addr)
-	}
-	net.Attach(lb, addrs...)
-	return lb
-}
-
-// NewDetached builds the LB without attaching it to the LAN — for
-// multi-replica deployments the caller places each replica into the
-// anycast/ECMP groups of the shared VIP and LB return address itself
-// (netsim.AttachAnycast).
-func NewDetached(sim *des.Simulator, net *netsim.Network, cfg Config) *LoadBalancer {
+// New builds the LB on the given runtime port (a *netsim.Network in the
+// simulator, a livenet node in real time). It does not attach itself:
+// the caller binds each of its Addrs to it on the LAN — as unicast
+// addresses, or as members of the anycast/ECMP groups a multi-replica
+// deployment shares (netsim.AttachAnycast).
+func New(port netsim.Port, cfg Config) *LoadBalancer {
 	if err := ipv6.CheckAddr(cfg.Addr); err != nil {
 		panic(fmt.Sprintf("core: bad LB addr: %v", err))
+	}
+	if len(cfg.VIPList) == 0 {
+		panic("core: at least one VIP is required")
 	}
 	if cfg.SweepInterval == 0 {
 		cfg.SweepInterval = time.Second
 	}
 	lb := &LoadBalancer{
 		cfg:    cfg,
-		sim:    sim,
-		net:    net,
+		port:   port,
 		flows:  flowtable.New(cfg.Flows),
 		Counts: metrics.NewCounter(),
 	}
@@ -156,27 +133,11 @@ func NewDetached(sim *des.Simulator, net *netsim.Network, cfg Config) *LoadBalan
 	return lb
 }
 
-// compileVIPs builds the indexed dispatch table from whichever config
-// form the caller used. Allocation is constant-count (one slice, one
-// presized map) regardless of VIP count.
+// compileVIPs builds the indexed dispatch table from Config.VIPList.
+// Allocation is constant-count (one slice, one presized map) regardless
+// of VIP count.
 func (lb *LoadBalancer) compileVIPs() {
-	cfg := &lb.cfg
-	if len(cfg.VIPs) > 0 && len(cfg.VIPList) > 0 {
-		panic("core: set Config.VIPs or Config.VIPList, not both")
-	}
-	list := cfg.VIPList
-	if len(list) == 0 {
-		if len(cfg.VIPs) == 0 {
-			panic("core: at least one VIP is required")
-		}
-		// Compile the map form: sort by address so dense ids (and thus
-		// any id-ordered iteration) are deterministic.
-		list = make([]VIPConfig, 0, len(cfg.VIPs))
-		for vip, scheme := range cfg.VIPs {
-			list = append(list, VIPConfig{Addr: vip, Scheme: scheme, Fallback: cfg.MissFallbacks[vip]})
-		}
-		sort.Slice(list, func(i, j int) bool { return list[i].Addr.Less(list[j].Addr) })
-	}
+	list := lb.cfg.VIPList
 	lb.vips = make([]vipEntry, len(list))
 	lb.vipIndex = make(map[netip.Addr]int32, len(list))
 	for i, vc := range list {
@@ -188,10 +149,7 @@ func (lb *LoadBalancer) compileVIPs() {
 		}
 		fb := vc.Fallback
 		if fb == nil {
-			fb = cfg.MissFallbacks[vc.Addr]
-		}
-		if fb == nil {
-			fb = cfg.MissFallback
+			fb = lb.cfg.MissFallback
 		}
 		lb.vips[i] = vipEntry{
 			addr:     vc.Addr,
@@ -206,6 +164,17 @@ func (lb *LoadBalancer) compileVIPs() {
 
 // Addr returns the LB's address.
 func (lb *LoadBalancer) Addr() netip.Addr { return lb.cfg.Addr }
+
+// Addrs returns every address the LB must be reachable at for the
+// caller to attach: its own, then each VIP in id order.
+func (lb *LoadBalancer) Addrs() []netip.Addr {
+	addrs := make([]netip.Addr, 0, 1+len(lb.vips))
+	addrs = append(addrs, lb.cfg.Addr)
+	for i := range lb.vips {
+		addrs = append(addrs, lb.vips[i].addr)
+	}
+	return addrs
+}
 
 // NumVIPs returns how many VIPs the balancer advertises.
 func (lb *LoadBalancer) NumVIPs() int { return len(lb.vips) }
@@ -242,15 +211,15 @@ func (lb *LoadBalancer) ResetFlows() {
 // another's connection state) and the dispatch benchmarks' way of
 // exercising the steered-hit path without running the simulator.
 func (lb *LoadBalancer) SeedFlow(flow packet.FlowKey, server netip.Addr) {
-	lb.flows.Insert(lb.sim.Now(), flow, server)
+	lb.flows.Insert(lb.port.Now(), flow, server)
 }
 
-// ExportFlows snapshots every live flow binding at the current virtual
+// ExportFlows snapshots every live flow binding at the port's current
 // time — the donor half of a warm handoff. The snapshot carries
 // absolute deadlines and closing marks, so a receiver importing it
 // later inherits exactly the state that is still alive then.
 func (lb *LoadBalancer) ExportFlows() []flowtable.FlowBinding {
-	return lb.flows.Snapshot(lb.sim.Now())
+	return lb.flows.Snapshot(lb.port.Now())
 }
 
 // ImportFlows merges an exported snapshot into this replica's flow
@@ -259,14 +228,14 @@ func (lb *LoadBalancer) ExportFlows() []flowtable.FlowBinding {
 // overwritten, and the table's capacity bound still holds. Returns the
 // number of bindings applied.
 func (lb *LoadBalancer) ImportFlows(bindings []flowtable.FlowBinding) int {
-	return lb.flows.Restore(lb.sim.Now(), bindings)
+	return lb.flows.Restore(lb.port.Now(), bindings)
 }
 
 // SweepNow immediately collects expired flow entries and returns how many
 // were removed.
 func (lb *LoadBalancer) SweepNow() int {
-	lb.lastSweep = lb.sim.Now()
-	return lb.flows.Sweep(lb.sim.Now())
+	lb.lastSweep = lb.port.Now()
+	return lb.flows.Sweep(lb.lastSweep)
 }
 
 // maybeSweep runs an opportunistic sweep at most once per SweepInterval.
@@ -274,7 +243,7 @@ func (lb *LoadBalancer) maybeSweep() {
 	if lb.cfg.SweepInterval < 0 {
 		return
 	}
-	if now := lb.sim.Now(); now-lb.lastSweep >= lb.cfg.SweepInterval {
+	if now := lb.port.Now(); now-lb.lastSweep >= lb.cfg.SweepInterval {
 		lb.lastSweep = now
 		lb.flows.Sweep(now)
 	}
@@ -318,7 +287,7 @@ func (lb *LoadBalancer) Handle(pkt *packet.Packet) {
 func (lb *LoadBalancer) handleSYN(pkt *packet.Packet, e *vipEntry) {
 	lb.Counts.Inc("syn_rx")
 	flow := pkt.Flow()
-	if _, bound := lb.flows.Lookup(lb.sim.Now(), flow); bound {
+	if _, bound := lb.flows.Lookup(lb.port.Now(), flow); bound {
 		lb.Counts.Inc("syn_rebound")
 		lb.handleSteered(pkt, e)
 		return
@@ -336,7 +305,7 @@ func (lb *LoadBalancer) handleSYN(pkt *packet.Packet, e *vipEntry) {
 	}
 	pkt.IP.Dst = candidates[0] // the active segment
 	lb.Counts.Inc("hunts_started")
-	lb.net.Send(pkt)
+	lb.port.Send(pkt)
 }
 
 // handleReturn processes a server→client packet SR-routed through the LB:
@@ -364,7 +333,7 @@ func (lb *LoadBalancer) handleReturn(pkt *packet.Packet) {
 		// Key the mapping by the CLIENT's view of the flow: the SYN-ACK
 		// flow is (VIP→client); the client flow is its reverse.
 		clientFlow := pkt.Flow().Reverse()
-		lb.flows.Insert(lb.sim.Now(), clientFlow, server)
+		lb.flows.Insert(lb.port.Now(), clientFlow, server)
 		lb.Counts.Inc("flows_learned")
 		// A stateful scheme tracks its own placements (the in-flight
 		// delta between feedback reports); the flow's VIP is the client
@@ -379,7 +348,7 @@ func (lb *LoadBalancer) handleReturn(pkt *packet.Packet) {
 	pkt.SRH = nil
 	pkt.IP.Dst = client
 	lb.Counts.Inc("returns_relayed")
-	lb.net.Send(pkt)
+	lb.port.Send(pkt)
 }
 
 // handleSteered forwards mid-flow client packets to the accepting
@@ -389,7 +358,7 @@ func (lb *LoadBalancer) handleReturn(pkt *packet.Packet) {
 // the flowtable entry in place, so the packet and every successor
 // steer to the new server.
 func (lb *LoadBalancer) handleSteered(pkt *packet.Packet, e *vipEntry) {
-	now := lb.sim.Now()
+	now := lb.port.Now()
 	flow := pkt.Flow()
 	isRST := pkt.TCP.Flags.Has(tcpseg.FlagRST)
 	var server netip.Addr
@@ -438,7 +407,7 @@ func (lb *LoadBalancer) handleSteered(pkt *packet.Packet, e *vipEntry) {
 	}
 	pkt.IP.Dst = server
 	lb.Counts.Inc("steered")
-	lb.net.Send(pkt)
+	lb.port.Send(pkt)
 }
 
 var _ netsim.Node = (*LoadBalancer)(nil)

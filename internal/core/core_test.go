@@ -51,12 +51,14 @@ func newRig(t *testing.T, cfg Config) *rig {
 	if cfg.Addr == (netip.Addr{}) {
 		cfg.Addr = lbAddr
 	}
-	if cfg.VIPs == nil {
-		cfg.VIPs = map[netip.Addr]selection.Scheme{
-			vip: selection.NewRandom([]netip.Addr{sAddr1, sAddr2}, 2, rng.New(1)),
-		}
+	if cfg.VIPList == nil {
+		cfg.VIPList = []VIPConfig{{
+			Addr:   vip,
+			Scheme: selection.NewRandom([]netip.Addr{sAddr1, sAddr2}, 2, rng.New(1)),
+		}}
 	}
-	g.lb = New(sim, net, cfg)
+	g.lb = New(net, cfg)
+	net.Attach(g.lb, g.lb.Addrs()...)
 	return g
 }
 
@@ -308,7 +310,7 @@ func TestConfigValidation(t *testing.T) {
 	net := netsim.New(sim, netsim.Config{})
 	for name, cfg := range map[string]Config{
 		"no vips":  {Addr: lbAddr},
-		"bad addr": {VIPs: map[netip.Addr]selection.Scheme{vip: nil}},
+		"bad addr": {VIPList: []VIPConfig{{Addr: vip}}},
 	} {
 		func() {
 			defer func() {
@@ -316,7 +318,7 @@ func TestConfigValidation(t *testing.T) {
 					t.Fatalf("%s: expected panic", name)
 				}
 			}()
-			New(sim, net, cfg)
+			New(net, cfg)
 		}()
 	}
 }

@@ -35,65 +35,13 @@ func scaleVIPList(n int, servers []netip.Addr) []VIPConfig {
 	return list
 }
 
-// scaleLB builds a detached LB over a delivery-dropping network: Handle
+// scaleLB builds an unattached LB over a delivery-dropping network: Handle
 // runs the full dispatch (including the wire marshal in Send) but
 // nothing is ever delivered, so packets can be driven directly.
 func scaleLB(cfg Config) *LoadBalancer {
 	sim := des.New()
 	net := netsim.New(sim, netsim.Config{LossProb: 1})
-	return NewDetached(sim, net, cfg)
-}
-
-// The legacy map form and the indexed VIPList form must be behaviorally
-// identical: same per-VIP SYN demux, same counters, same flow-table
-// state for the same packet sequence.
-func TestVIPListMapFormEquivalence(t *testing.T) {
-	const vips, ports = 8, 64
-	servers := []netip.Addr{sAddr1, sAddr2}
-	listForm := scaleLB(Config{Addr: lbAddr, VIPList: scaleVIPList(vips, servers)})
-	m := make(map[netip.Addr]selection.Scheme, vips)
-	for _, vc := range scaleVIPList(vips, servers) {
-		m[vc.Addr] = vc.Scheme
-	}
-	mapForm := scaleLB(Config{Addr: lbAddr, VIPs: m})
-
-	if listForm.NumVIPs() != vips || mapForm.NumVIPs() != vips {
-		t.Fatalf("NumVIPs = %d/%d, want %d", listForm.NumVIPs(), mapForm.NumVIPs(), vips)
-	}
-	drive := func(lb *LoadBalancer) {
-		var pkt packet.Packet
-		for i := 0; i < vips*ports; i++ {
-			dst := scaleAddr(0xaa, i%vips)
-			// A SYN opening the flow, then a steered packet that misses
-			// (no return path here, so every non-SYN is a miss).
-			pkt = packet.Packet{
-				IP:  ipv6.Header{Src: client, Dst: dst},
-				TCP: tcpseg.Segment{SrcPort: uint16(1024 + i), DstPort: 80, Flags: tcpseg.FlagSYN},
-			}
-			lb.Handle(&pkt)
-			pkt = packet.Packet{
-				IP:  ipv6.Header{Src: client, Dst: dst},
-				TCP: tcpseg.Segment{SrcPort: uint16(1024 + i), DstPort: 80, Flags: tcpseg.FlagACK},
-			}
-			lb.Handle(&pkt)
-		}
-	}
-	drive(listForm)
-	drive(mapForm)
-	for i := 0; i < vips; i++ {
-		addr := scaleAddr(0xaa, i)
-		if a, b := listForm.VIPSYNs(addr), mapForm.VIPSYNs(addr); a != b || a != ports {
-			t.Fatalf("VIP %d SYNs: list=%d map=%d, want %d", i, a, b, ports)
-		}
-	}
-	for _, key := range []string{"syn_rx", "hunts_started", "miss_dropped", "steered", "unknown_vip"} {
-		if a, b := listForm.Counts.Get(key), mapForm.Counts.Get(key); a != b {
-			t.Fatalf("counter %q: list=%d map=%d", key, a, b)
-		}
-	}
-	if a, b := listForm.FlowCount(), mapForm.FlowCount(); a != b {
-		t.Fatalf("flow count: list=%d map=%d", a, b)
-	}
+	return New(net, cfg)
 }
 
 // SeedFlow installs a binding exactly as a learned SYN-ACK would: a
@@ -123,21 +71,20 @@ func TestSeedFlowSteersLikeLearned(t *testing.T) {
 // dispatch table is one slice plus one presized map, and no per-VIP
 // metric keys or strings are built. A per-VIP allocation would show up
 // here as ~960 extra allocs at 1024 VIPs.
-func TestNewDetachedConstantAllocs(t *testing.T) {
+func TestNewConstantAllocs(t *testing.T) {
 	servers := []netip.Addr{sAddr1, sAddr2}
 	allocs := func(n int) float64 {
 		list := scaleVIPList(n, servers)
-		sim := des.New()
-		net := netsim.New(sim, netsim.Config{LossProb: 1})
+		net := netsim.New(des.New(), netsim.Config{LossProb: 1})
 		return testing.AllocsPerRun(10, func() {
-			lb := NewDetached(sim, net, Config{Addr: lbAddr, VIPList: list})
+			lb := New(net, Config{Addr: lbAddr, VIPList: list})
 			if lb.NumVIPs() != n {
 				t.Fatalf("built %d VIPs, want %d", lb.NumVIPs(), n)
 			}
 		})
 	}
 	small, large := allocs(64), allocs(1024)
-	t.Logf("NewDetached allocs: %d VIPs → %.0f, %d VIPs → %.0f", 64, small, 1024, large)
+	t.Logf("New allocs: %d VIPs → %.0f, %d VIPs → %.0f", 64, small, 1024, large)
 	// Slack covers map-bucket granularity between the two presized maps;
 	// anything per-VIP blows through it immediately.
 	if large > small+16 {
@@ -145,16 +92,15 @@ func TestNewDetachedConstantAllocs(t *testing.T) {
 	}
 }
 
-// The two config forms are mutually exclusive and VIPList entries are
-// validated like map keys.
+// VIPList must be non-empty, and its entries are validated: no
+// duplicates, no bad addresses.
 func TestVIPListValidation(t *testing.T) {
 	servers := []netip.Addr{sAddr1, sAddr2}
 	scheme := selection.NewRoundRobin(servers, 2)
 	for name, cfg := range map[string]Config{
-		"both forms": {
+		"empty list": {
 			Addr:    lbAddr,
-			VIPs:    map[netip.Addr]selection.Scheme{vip: scheme},
-			VIPList: []VIPConfig{{Addr: scaleAddr(0xaa, 0), Scheme: scheme}},
+			VIPList: []VIPConfig{},
 		},
 		"duplicate vip": {
 			Addr: lbAddr,
@@ -179,19 +125,17 @@ func TestVIPListValidation(t *testing.T) {
 	}
 }
 
-// The dense ids assigned to the map form are sorted by address, so
-// id-ordered state (VIPSYNs reads, iteration) is deterministic across
-// map iteration orders.
+// Dense ids are VIPList positions, so id-ordered state (VIPSYNs reads,
+// iteration) is deterministic across builds.
 func TestMapFormIDsDeterministic(t *testing.T) {
 	servers := []netip.Addr{sAddr1, sAddr2}
 	build := func() string {
-		m := make(map[netip.Addr]selection.Scheme, 16)
-		for i := 0; i < 16; i++ {
-			m[scaleAddr(0xaa, i)] = selection.NewRoundRobin(servers, 2)
-		}
-		lb := scaleLB(Config{Addr: lbAddr, VIPs: m})
+		lb := scaleLB(Config{Addr: lbAddr, VIPList: scaleVIPList(16, servers)})
 		sig := ""
 		for i := range lb.vips {
+			if lb.vips[i].addr != scaleAddr(0xaa, i) {
+				t.Fatalf("id %d holds %v, want list position %d", i, lb.vips[i].addr, i)
+			}
 			sig += fmt.Sprintf("%d:%v;", i, lb.vips[i].addr)
 		}
 		return sig
@@ -199,7 +143,7 @@ func TestMapFormIDsDeterministic(t *testing.T) {
 	first := build()
 	for trial := 0; trial < 4; trial++ {
 		if got := build(); got != first {
-			t.Fatalf("map-form id assignment varies across builds:\n%s\nvs\n%s", first, got)
+			t.Fatalf("id assignment varies across builds:\n%s\nvs\n%s", first, got)
 		}
 	}
 }

@@ -8,11 +8,13 @@ import (
 	"time"
 
 	"srlb/internal/agent"
+	"srlb/internal/core"
 	"srlb/internal/ipv6"
 	"srlb/internal/packet"
 	"srlb/internal/rng"
 	"srlb/internal/selection"
 	"srlb/internal/tcpseg"
+	"srlb/internal/vrouter"
 )
 
 var (
@@ -27,6 +29,19 @@ func liveServerAddrs(n int) []netip.Addr {
 		out[i] = ipv6.MustAddr(fmt.Sprintf("2001:db8:5::%x", i+1))
 	}
 	return out
+}
+
+// service prices every request at d.
+func service(d time.Duration) vrouter.DemandFn {
+	return func(packet.FlowKey, []byte) time.Duration { return d }
+}
+
+// newLiveLB attaches a balancer for liveVIP choosing k of addrs at random.
+func newLiveLB(net *Network, addrs []netip.Addr, k int, seed uint64) *LoadBalancer {
+	return NewLoadBalancer(net, core.Config{
+		Addr:    liveLB,
+		VIPList: []core.VIPConfig{{Addr: liveVIP, Scheme: selection.NewRandom(addrs, k, rng.New(seed))}},
+	})
 }
 
 func TestNetworkDelivery(t *testing.T) {
@@ -52,7 +67,7 @@ func TestNetworkDelivery(t *testing.T) {
 	}
 }
 
-func TestNetworkUnroutableIsSilent(t *testing.T) {
+func TestNetworkUnroutableCounted(t *testing.T) {
 	net := NewNetwork()
 	defer net.Close()
 	p := &packet.Packet{
@@ -61,6 +76,55 @@ func TestNetworkUnroutableIsSilent(t *testing.T) {
 	}
 	if err := net.Send(p); err != nil {
 		t.Fatalf("unroutable send should not error: %v", err)
+	}
+	if st := net.Stats(); st != (Stats{Unroutable: 1}) {
+		t.Fatalf("stats = %+v, want one unroutable drop", st)
+	}
+}
+
+// A node whose handler is stalled cannot block its senders: once its
+// queue is full, every further packet is tail-dropped and counted.
+func TestNetworkQueueFullCounted(t *testing.T) {
+	const k = 7
+	net := NewNetwork()
+	defer net.Close()
+	addr := ipv6.MustAddr("2001:db8::4")
+	entered, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	net.Attach(func(*packet.Packet) {
+		once.Do(func() { close(entered) })
+		<-release
+	}, addr)
+	defer close(release)
+	p := &packet.Packet{
+		IP:  ipv6.Header{Src: liveCli, Dst: addr},
+		TCP: tcpseg.Segment{Flags: tcpseg.FlagSYN},
+	}
+	// The first packet occupies the handler, so the queue itself is empty.
+	if err := net.Send(p); err != nil {
+		t.Fatal(err)
+	}
+	<-entered
+	sent := make(chan error, 1)
+	go func() {
+		for i := 0; i < QueueLen+k; i++ {
+			if err := net.Send(p); err != nil {
+				sent <- err
+				return
+			}
+		}
+		sent <- nil
+	}()
+	select {
+	case err := <-sent:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Send blocked on a stalled node")
+	}
+	if st := net.Stats(); st != (Stats{QueueFull: k}) {
+		t.Fatalf("stats = %+v, want QueueFull = %d", st, k)
 	}
 }
 
@@ -77,6 +141,41 @@ func TestNetworkClose(t *testing.T) {
 	if err := net.Send(p); err != ErrClosed {
 		t.Fatalf("send after close = %v, want ErrClosed", err)
 	}
+}
+
+// Sends racing Close are delivered, dropped or refused with ErrClosed;
+// none panics on the closed queue.
+func TestSendRacingClose(t *testing.T) {
+	net := NewNetwork()
+	addr := ipv6.MustAddr("2001:db8::5")
+	net.Attach(func(*packet.Packet) {}, addr)
+	var started, done sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		started.Add(1)
+		done.Add(1)
+		go func() {
+			defer done.Done()
+			p := &packet.Packet{
+				IP:  ipv6.Header{Src: liveCli, Dst: addr},
+				TCP: tcpseg.Segment{Flags: tcpseg.FlagSYN},
+			}
+			for i := 0; ; i++ {
+				err := net.Send(p)
+				if i == 0 {
+					started.Done()
+				}
+				if err != nil {
+					if err != ErrClosed {
+						t.Errorf("send: %v", err)
+					}
+					return
+				}
+			}
+		}()
+	}
+	started.Wait()
+	net.Close()
+	done.Wait()
 }
 
 func TestDuplicateAttachPanics(t *testing.T) {
@@ -102,13 +201,13 @@ func TestEndToEndHunting(t *testing.T) {
 	servers := make([]*Server, len(addrs))
 	for i, a := range addrs {
 		servers[i] = NewServer(net, ServerConfig{
-			Addr: a, VIP: liveVIP, LB: liveLB,
+			Addr: a, VIPs: []netip.Addr{liveVIP}, LB: liveLB,
 			Workers: 16,
 			Policy:  agent.NewStatic(8),
-			Service: func([]byte) time.Duration { return time.Millisecond },
+			Demand:  service(time.Millisecond),
 		})
 	}
-	NewLoadBalancer(net, liveLB, liveVIP, selection.NewRandom(addrs, 2, rng.New(1)))
+	newLiveLB(net, addrs, 2, 1)
 	client := NewClient(net, liveCli, liveVIP)
 
 	const n = 400
@@ -149,16 +248,16 @@ func TestPolicySkew(t *testing.T) {
 	addrs := liveServerAddrs(2)
 	// Server 0 refuses everything (Never); server 1 accepts.
 	s0 := NewServer(net, ServerConfig{
-		Addr: addrs[0], VIP: liveVIP, LB: liveLB,
+		Addr: addrs[0], VIPs: []netip.Addr{liveVIP}, LB: liveLB,
 		Workers: 8, Policy: agent.Never{},
-		Service: func([]byte) time.Duration { return time.Millisecond },
+		Demand: service(time.Millisecond),
 	})
 	s1 := NewServer(net, ServerConfig{
-		Addr: addrs[1], VIP: liveVIP, LB: liveLB,
+		Addr: addrs[1], VIPs: []netip.Addr{liveVIP}, LB: liveLB,
 		Workers: 64, Policy: agent.Never{},
-		Service: func([]byte) time.Duration { return time.Millisecond },
+		Demand: service(time.Millisecond),
 	})
-	NewLoadBalancer(net, liveLB, liveVIP, selection.NewRandom(addrs, 2, rng.New(2)))
+	newLiveLB(net, addrs, 2, 2)
 	client := NewClient(net, liveCli, liveVIP)
 
 	const n = 200
@@ -190,19 +289,21 @@ func TestLoadBalancerFlowLearning(t *testing.T) {
 	addrs := liveServerAddrs(2)
 	for _, a := range addrs {
 		NewServer(net, ServerConfig{
-			Addr: a, VIP: liveVIP, LB: liveLB,
+			Addr: a, VIPs: []netip.Addr{liveVIP}, LB: liveLB,
 			Workers: 8, Policy: agent.Always{},
-			Service: func([]byte) time.Duration { return 50 * time.Millisecond },
+			Demand: service(50 * time.Millisecond),
 		})
 	}
-	lb := NewLoadBalancer(net, liveLB, liveVIP, selection.NewRandom(addrs, 2, rng.New(3)))
+	lb := newLiveLB(net, addrs, 2, 3)
 	client := NewClient(net, liveCli, liveVIP)
 	client.Launch([]byte("q"))
 
 	// The flow should appear in the LB table once the SYN-ACK relays.
 	ok := false
 	for i := 0; i < 100; i++ {
-		if lb.FlowCount() == 1 {
+		var flows int
+		lb.Inspect(func(c *core.LoadBalancer) { flows = c.FlowCount() })
+		if flows == 1 {
 			ok = true
 			break
 		}
@@ -224,12 +325,12 @@ func TestConcurrentClients(t *testing.T) {
 	addrs := liveServerAddrs(3)
 	for _, a := range addrs {
 		NewServer(net, ServerConfig{
-			Addr: a, VIP: liveVIP, LB: liveLB,
+			Addr: a, VIPs: []netip.Addr{liveVIP}, LB: liveLB,
 			Workers: 32, Policy: agent.NewStatic(16),
-			Service: func([]byte) time.Duration { return time.Millisecond },
+			Demand: service(time.Millisecond),
 		})
 	}
-	NewLoadBalancer(net, liveLB, liveVIP, selection.NewRandom(addrs, 2, rng.New(4)))
+	newLiveLB(net, addrs, 2, 4)
 
 	const clients = 4
 	const perClient = 100
@@ -263,11 +364,11 @@ func TestServerOverflowRSTs(t *testing.T) {
 	defer net.Close()
 	addrs := liveServerAddrs(1)
 	NewServer(net, ServerConfig{
-		Addr: addrs[0], VIP: liveVIP, LB: liveLB,
+		Addr: addrs[0], VIPs: []netip.Addr{liveVIP}, LB: liveLB,
 		Workers: 1, Policy: agent.Always{},
-		Service: func([]byte) time.Duration { return 200 * time.Millisecond },
+		Demand: service(200 * time.Millisecond),
 	})
-	NewLoadBalancer(net, liveLB, liveVIP, selection.NewRandom(addrs, 1, rng.New(5)))
+	newLiveLB(net, addrs, 1, 5)
 	client := NewClient(net, liveCli, liveVIP)
 	for i := 0; i < 5; i++ {
 		client.Launch([]byte("q"))

@@ -39,6 +39,21 @@ type Node interface {
 	Handle(pkt *packet.Packet)
 }
 
+// Port is how a protocol node (the load balancer, a virtual router)
+// reaches its runtime: the clock, the wire and deferred work. *Network
+// implements it in virtual time on the discrete-event simulator;
+// internal/livenet implements it in wall-clock time behind a per-node
+// lock. Send must serialize pkt before returning and retain nothing, so
+// callers may reuse the packet at once.
+type Port interface {
+	// Now is the node's current time.
+	Now() time.Duration
+	// Send transmits pkt toward its IPv6 destination.
+	Send(pkt *packet.Packet)
+	// ScheduleAfter runs fn after d, serialized with the node's Handle.
+	ScheduleAfter(d time.Duration, fn func())
+}
+
 // Tap observes every delivered packet (after parse, before Handle).
 // Used by tests and the pcap-style logger. Taps run before ownership
 // passes to the node, so they see the packet as it arrived — but they
@@ -110,6 +125,12 @@ func New(sim *des.Simulator, cfg Config) *Network {
 
 // Sim returns the underlying simulator.
 func (n *Network) Sim() *des.Simulator { return n.sim }
+
+// Now implements Port: the simulator's virtual time.
+func (n *Network) Now() time.Duration { return n.sim.Now() }
+
+// ScheduleAfter implements Port on the simulator's event queue.
+func (n *Network) ScheduleAfter(d time.Duration, fn func()) { n.sim.ScheduleAfter(d, fn) }
 
 // Attach binds addrs to node on the LAN. Attaching an address twice
 // panics: unicast address assignment is static in the testbed (use
@@ -274,6 +295,8 @@ func ecmpHash(pkt *packet.Packet) uint64 {
 	h.Write(ports[:])
 	return h.Sum64()
 }
+
+var _ Port = (*Network)(nil)
 
 // NodeFunc adapts a function to the Node interface.
 type NodeFunc func(pkt *packet.Packet)

@@ -854,9 +854,8 @@ func Build(top Topology) *Testbed {
 				pool.members = append(pool.members, rs.view.Share(pool.vipAddrs))
 			}
 		}
-		// The indexed config form: VIP v gets dense id v in every replica,
-		// so construction is one slice walk — no per-replica maps, and the
-		// LB compiles it without sorting.
+		// VIP v gets dense id v in every replica, so construction is one
+		// slice walk with no per-replica maps.
 		list := make([]core.VIPConfig, len(top.VIPs))
 		for v, vs := range tb.vips {
 			stream := uint64(1) + uint64(r)*uint64(len(top.VIPs)) + uint64(v)
@@ -875,14 +874,13 @@ func Build(top Topology) *Testbed {
 			}
 		}
 		cfg := core.Config{Addr: LBAddr, VIPList: list, Flows: top.Flows}
-		if anycast {
-			rs.lb = core.NewDetached(sim, net, cfg)
-			for _, vs := range tb.vips {
-				net.AttachAnycast(rs.lb, vs.addr)
+		rs.lb = core.New(net, cfg)
+		for _, a := range rs.lb.Addrs() {
+			if anycast {
+				net.AttachAnycast(rs.lb, a)
+			} else {
+				net.Attach(rs.lb, a)
 			}
-			net.AttachAnycast(rs.lb, LBAddr)
-		} else {
-			rs.lb = core.New(sim, net, cfg)
 		}
 		tb.replicas[r] = rs
 		tb.LBs[r] = rs.lb
@@ -1026,7 +1024,7 @@ func (tb *Testbed) buildServer(pool *poolState, i int) *serverSlot {
 		}
 	}
 	srv := appserver.New(tb.Sim, name, serverCfg)
-	rt := vrouter.New(tb.Sim, tb.Net, vrouter.Config{
+	rt := vrouter.New(tb.Net, vrouter.Config{
 		Addr:   pool.addr(i),
 		VIPs:   pool.vipAddrs,
 		LB:     LBAddr,
@@ -1034,6 +1032,7 @@ func (tb *Testbed) buildServer(pool *poolState, i int) *serverSlot {
 		Server: srv,
 		Demand: demand,
 	})
+	tb.Net.Attach(rt, rt.Addr())
 	tb.Servers = append(tb.Servers, srv)
 	tb.Routers = append(tb.Routers, rt)
 	slot := &serverSlot{addr: rt.Addr(), router: rt, server: srv}

@@ -104,7 +104,7 @@ func TestLateCompletionDoesNotAnswerRecycledConn(t *testing.T) {
 	if resp := g.toCli[0]; resp.TCP.DstPort != 40001 || g.r1.Counts.Get("responses_tx") != 1 {
 		t.Fatalf("response %v, responses_tx %d", resp, g.r1.Counts.Get("responses_tx"))
 	}
-	if st := g.r1.Server().Stats(); st.Completed != 2 {
+	if st := g.s1.Stats(); st.Completed != 2 {
 		t.Fatalf("server completed %d requests, want 2", st.Completed)
 	}
 }

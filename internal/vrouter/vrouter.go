@@ -4,8 +4,9 @@
 // and executes the Service Hunting decision.
 //
 // In the paper this is a VPP plugin colocated with the Apache server
-// agent; here it is a packet-handler state machine attached to the
-// simulated LAN. Its behavior, per Algorithms 1–2:
+// agent; here it is a packet-handler state machine that reaches its LAN
+// through a netsim.Port — the simulated one, or livenet's real-time one.
+// Its behavior, per Algorithms 1–2:
 //
 //   - Packet with SegmentsLeft ≥ 2 addressed to this server: a *choice*
 //     offer. Consult the local agent policy; accept ⇒ deliver to the
@@ -28,7 +29,6 @@ import (
 
 	"srlb/internal/agent"
 	"srlb/internal/appserver"
-	"srlb/internal/des"
 	"srlb/internal/ipv6"
 	"srlb/internal/metrics"
 	"srlb/internal/netsim"
@@ -42,6 +42,17 @@ import (
 // derives it from the URL and the server-local cache state.
 type DemandFn func(flow packet.FlowKey, payload []byte) time.Duration
 
+// App is the application instance behind a router: the scoreboard the
+// acceptance policy reads, and the admission point for accepted
+// connections. *appserver.Server (processor sharing in virtual time)
+// implements it in the simulator; livenet.Server, a worker pool,
+// implements it in real time. Offer runs onDone once the request has been served,
+// serialized with the router's Handle, unless the verdict refuses it.
+type App interface {
+	appserver.Scoreboard
+	Offer(demand time.Duration, onDone func()) appserver.Verdict
+}
+
 // Config assembles a server node.
 type Config struct {
 	// Addr is the server's physical address (the SR segment).
@@ -52,8 +63,8 @@ type Config struct {
 	LB netip.Addr
 	// Policy is the connection-acceptance policy (agent).
 	Policy agent.Policy
-	// Server is the application instance model.
-	Server *appserver.Server
+	// Server is the application instance.
+	Server App
 	// Demand computes CPU demand per request.
 	Demand DemandFn
 }
@@ -97,8 +108,7 @@ const CloseLinger = time.Second
 // Router is the virtual router + application agent of one server.
 type Router struct {
 	cfg     Config
-	sim     *des.Simulator
-	net     *netsim.Network
+	port    netsim.Port
 	vips    map[netip.Addr]bool
 	conns   map[packet.FlowKey]*conn
 	vipResp map[netip.Addr]uint64
@@ -110,9 +120,10 @@ type Router struct {
 	freeJob  *job
 }
 
-// New builds the router and attaches it to the network under its physical
-// address and its VIPs.
-func New(sim *des.Simulator, net *netsim.Network, cfg Config) *Router {
+// New builds the router on the given runtime port (a *netsim.Network in
+// the simulator, a livenet node in real time). It does not attach
+// itself: the caller binds the router's Addr to it on the LAN.
+func New(port netsim.Port, cfg Config) *Router {
 	if cfg.Policy == nil || cfg.Server == nil || cfg.Demand == nil {
 		panic("vrouter: Policy, Server and Demand are required")
 	}
@@ -121,8 +132,7 @@ func New(sim *des.Simulator, net *netsim.Network, cfg Config) *Router {
 	}
 	r := &Router{
 		cfg:     cfg,
-		sim:     sim,
-		net:     net,
+		port:    port,
 		vips:    make(map[netip.Addr]bool, len(cfg.VIPs)),
 		conns:   make(map[packet.FlowKey]*conn),
 		vipResp: make(map[netip.Addr]uint64, len(cfg.VIPs)),
@@ -131,15 +141,11 @@ func New(sim *des.Simulator, net *netsim.Network, cfg Config) *Router {
 	for _, v := range cfg.VIPs {
 		r.vips[v] = true
 	}
-	net.Attach(r, cfg.Addr)
 	return r
 }
 
 // Addr returns the server's physical address.
 func (r *Router) Addr() netip.Addr { return r.cfg.Addr }
-
-// Server returns the application instance model.
-func (r *Router) Server() *appserver.Server { return r.cfg.Server }
 
 // Policy returns the acceptance policy (for telemetry).
 func (r *Router) Policy() agent.Policy { return r.cfg.Policy }
@@ -317,7 +323,7 @@ func (r *Router) expire(c *conn) {
 // sendSYNACK replies to a SYN with an SRH [self, LB, client] so the LB
 // learns which server accepted (figure 1: SYN-ACK {a, S2, LB, c}).
 func (r *Router) sendSYNACK(pkt *packet.Packet, flow packet.FlowKey) {
-	// The scratch packet is free: netsim.Send serializes before returning
+	// The scratch packet is free: Port.Send serializes before returning
 	// and retains nothing, and the inbound pkt is a distinct struct.
 	reply := &r.scratch
 	*reply = packet.Packet{
@@ -345,7 +351,7 @@ func (r *Router) sendSYNACK(pkt *packet.Packet, flow packet.FlowKey) {
 	}
 	reply.IP.Dst = next // through the LB
 	r.Counts.Inc("synack_tx")
-	r.net.Send(reply)
+	r.port.Send(reply)
 }
 
 // sendRST refuses the connection (backlog overflow) directly to the
@@ -362,7 +368,7 @@ func (r *Router) sendRST(pkt *packet.Packet) {
 			Flags:   tcpseg.FlagRST | tcpseg.FlagACK,
 		},
 	}
-	r.net.Send(rst)
+	r.port.Send(rst)
 }
 
 // deliverLocal hands a steered packet to the local application instance.
@@ -426,7 +432,7 @@ func (r *Router) respond(c *conn) {
 // schedules conn-state teardown after the linger.
 func (r *Router) emitResponse(c *conn) {
 	c.closed = true
-	r.sim.ScheduleAfter(CloseLinger, c.linger)
+	r.port.ScheduleAfter(CloseLinger, c.linger)
 	resp := &r.scratch
 	*resp = packet.Packet{
 		IP: ipv6.Header{Src: c.flow.Dst, Dst: c.flow.Src},
@@ -441,7 +447,7 @@ func (r *Router) emitResponse(c *conn) {
 	}
 	r.Counts.Inc("responses_tx")
 	r.vipResp[c.flow.Dst]++
-	r.net.Send(resp)
+	r.port.Send(resp)
 }
 
 // forwardNext advances the SR list and forwards to the next segment.
@@ -460,7 +466,7 @@ func (r *Router) forwardNext(pkt *packet.Packet) {
 		return
 	}
 	r.Counts.Inc("forwarded")
-	r.net.Send(pkt)
+	r.port.Send(pkt)
 }
 
 var _ netsim.Node = (*Router)(nil)

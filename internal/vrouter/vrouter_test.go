@@ -29,6 +29,7 @@ type rig struct {
 	sim    *des.Simulator
 	net    *netsim.Network
 	r1, r2 *Router
+	s1, s2 *appserver.Server // the routers' applications
 	toLB   []*packet.Packet
 	toCli  []*packet.Packet
 }
@@ -47,15 +48,19 @@ func newRig(t *testing.T, pol1, pol2 agent.Policy, cfg appserver.Config) *rig {
 	g := &rig{sim: sim, net: net}
 	net.Attach(netsim.NodeFunc(func(p *packet.Packet) { g.toLB = append(g.toLB, p.Clone()) }), lbAddr)
 	net.Attach(netsim.NodeFunc(func(p *packet.Packet) { g.toCli = append(g.toCli, p.Clone()) }), client)
-	g.r1 = New(sim, net, Config{
+	g.s1 = appserver.New(sim, "s1", cfg)
+	g.r1 = New(net, Config{
 		Addr: sAddr1, VIPs: []netip.Addr{vip}, LB: lbAddr,
-		Policy: pol1, Server: appserver.New(sim, "s1", cfg), Demand: demandFromPayload,
+		Policy: pol1, Server: g.s1, Demand: demandFromPayload,
 	})
+	net.Attach(g.r1, sAddr1)
 	if pol2 != nil {
-		g.r2 = New(sim, net, Config{
+		g.s2 = appserver.New(sim, "s2", cfg)
+		g.r2 = New(net, Config{
 			Addr: sAddr2, VIPs: []netip.Addr{vip}, LB: lbAddr,
-			Policy: pol2, Server: appserver.New(sim, "s2", cfg), Demand: demandFromPayload,
+			Policy: pol2, Server: g.s2, Demand: demandFromPayload,
 		})
+		net.Attach(g.r2, sAddr2)
 	}
 	return g
 }
@@ -138,10 +143,10 @@ func TestRefusalForwardsToSecond(t *testing.T) {
 	if g.r2.Counts.Get("forced_accepts") != 1 {
 		t.Fatal("second candidate did not force-accept")
 	}
-	if g.r2.Server().Stats().Admitted != 1 {
+	if g.s2.Stats().Admitted != 1 {
 		t.Fatal("second server did not admit")
 	}
-	if g.r1.Server().Stats().Admitted != 0 {
+	if g.s1.Stats().Admitted != 0 {
 		t.Fatal("first server wrongly admitted")
 	}
 }
@@ -150,8 +155,8 @@ func TestStaticPolicyDecidesOnBusyCount(t *testing.T) {
 	cfg := appserver.Config{Workers: 8, Cores: 8, Backlog: 16, AbortOnOverflow: true}
 	g := newRig(t, agent.NewStatic(2), agent.Always{}, cfg)
 	// Occupy two workers with long requests (policy threshold c=2).
-	g.r1.Server().Offer(time.Second, nil)
-	g.r1.Server().Offer(time.Second, nil)
+	g.s1.Offer(time.Second, nil)
+	g.s1.Offer(time.Second, nil)
 	g.net.Send(huntSYN(1))
 	g.sim.RunUntil(100 * time.Millisecond)
 	if g.r1.Counts.Get("hunt_refusals") != 1 {
@@ -166,7 +171,7 @@ func TestBacklogOverflowSendsRST(t *testing.T) {
 	cfg := appserver.Config{Workers: 1, Cores: 1, Backlog: 0, AbortOnOverflow: true}
 	g := newRig(t, agent.Always{}, nil, cfg)
 	// First connection occupies the only worker …
-	g.r1.Server().Offer(time.Second, nil)
+	g.s1.Offer(time.Second, nil)
 	// … so a hunted SYN that must be accepted (SL=1 leg) overflows.
 	srh := srv6.MustNew(ipv6.ProtoTCP, sAddr1, vip)
 	syn := &packet.Packet{
@@ -196,7 +201,7 @@ func TestDuplicateSYNResendsSYNACK(t *testing.T) {
 	if len(g.toLB) != 2 {
 		t.Fatalf("LB saw %d SYN-ACKs, want 2", len(g.toLB))
 	}
-	if g.r1.Server().Stats().Admitted != 1 {
+	if g.s1.Stats().Admitted != 1 {
 		t.Fatal("duplicate SYN admitted twice")
 	}
 }
@@ -221,14 +226,13 @@ func TestSteeredDataForUnknownFlowRSTs(t *testing.T) {
 }
 
 func TestMustFieldsPanic(t *testing.T) {
-	sim := des.New()
-	net := netsim.New(sim, netsim.Config{})
+	net := netsim.New(des.New(), netsim.Config{})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic for missing fields")
 		}
 	}()
-	New(sim, net, Config{Addr: sAddr1})
+	New(net, Config{Addr: sAddr1})
 }
 
 func TestHopLimitGuard(t *testing.T) {
@@ -250,7 +254,7 @@ func TestAccessors(t *testing.T) {
 	if g.r1.Addr() != sAddr1 {
 		t.Fatal("Addr() wrong")
 	}
-	if g.r1.Server() == nil || g.r1.Policy() == nil {
+	if g.r1.Policy() == nil {
 		t.Fatal("accessors returned nil")
 	}
 	if g.r1.OpenConns() != 0 {
